@@ -190,12 +190,12 @@ impl FoilModel {
     /// physical joins (replaying each clause's refinement sequence).
     pub fn predict(&self, db: &Database, rows: &[Row]) -> Vec<ClassLabel> {
         let target = db.target().expect("database must have a target");
-        let mut prediction: Vec<Option<ClassLabel>> = vec![None; rows.len()];
-        let mut slot_of: Vec<Option<usize>> = vec![None; db.num_targets()];
-        for (i, r) in rows.iter().enumerate() {
-            slot_of[r.0 as usize] = Some(i);
-        }
+        // Labels are per row, then fanned out to every slot holding it, so
+        // a row listed twice gets the same label at both slots.
+        let mut label_of: Vec<Option<ClassLabel>> = vec![None; db.num_targets()];
         let mut unassigned: Vec<Row> = rows.to_vec();
+        unassigned.sort_unstable();
+        unassigned.dedup();
         for clause in &self.clauses {
             if unassigned.is_empty() {
                 break;
@@ -211,17 +211,12 @@ impl FoilModel {
             if satisfied.is_empty() {
                 continue;
             }
-            let sat: std::collections::HashSet<u32> = satisfied.iter().map(|r| r.0).collect();
             for r in &satisfied {
-                if let Some(slot) = slot_of[r.0 as usize] {
-                    if prediction[slot].is_none() {
-                        prediction[slot] = Some(clause.label);
-                    }
-                }
+                label_of[r.0 as usize].get_or_insert(clause.label);
             }
-            unassigned.retain(|r| !sat.contains(&r.0));
+            unassigned.retain(|r| label_of[r.0 as usize].is_none());
         }
-        prediction.into_iter().map(|p| p.unwrap_or(self.default_label)).collect()
+        rows.iter().map(|r| label_of[r.0 as usize].unwrap_or(self.default_label)).collect()
     }
 }
 

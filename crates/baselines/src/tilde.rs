@@ -251,30 +251,25 @@ impl TildeModel {
     /// refinement with physical joins on the node's accumulated table.
     pub fn predict(&self, db: &Database, rows: &[Row]) -> Vec<ClassLabel> {
         let target = db.target().expect("database must have a target");
-        let mut out: Vec<ClassLabel> = vec![ClassLabel::NEG; rows.len()];
-        let mut slot_of: Vec<Option<usize>> = vec![None; db.num_targets()];
-        for (i, r) in rows.iter().enumerate() {
-            slot_of[r.0 as usize] = Some(i);
-        }
-        let table = BindingTable::from_targets(target, rows.iter().copied());
-        route(db, &self.root, table, &slot_of, &mut out);
-        out
+        // Routed per row, then fanned out to every slot holding it, so a
+        // row listed twice gets the same label at both slots.
+        let mut label_of: Vec<ClassLabel> = vec![ClassLabel::NEG; db.num_targets()];
+        let mut distinct: Vec<Row> = rows.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let table = BindingTable::from_targets(target, distinct);
+        route(db, &self.root, table, &mut label_of);
+        rows.iter().map(|r| label_of[r.0 as usize]).collect()
     }
 }
 
-fn route(
-    db: &Database,
-    node: &Node,
-    table: BindingTable,
-    slot_of: &[Option<usize>],
-    out: &mut [ClassLabel],
-) {
+/// Sends every target of `table` down `node`, writing the reached leaf's
+/// label to `label_of[target]`.
+fn route(db: &Database, node: &Node, table: BindingTable, label_of: &mut [ClassLabel]) {
     match node {
         Node::Leaf { label, .. } => {
             for t in table.distinct_targets() {
-                if let Some(slot) = slot_of[t.0 as usize] {
-                    out[slot] = *label;
-                }
+                label_of[t.0 as usize] = *label;
             }
         }
         Node::Split { refinement, yes, no } => {
@@ -282,8 +277,8 @@ fn route(
             let yes_targets: std::collections::HashSet<u32> =
                 yes_table.distinct_targets().iter().map(|r| r.0).collect();
             let no_table = table.retain_targets(|r| !yes_targets.contains(&r.0));
-            route(db, yes, yes_table, slot_of, out);
-            route(db, no, no_table, slot_of, out);
+            route(db, yes, yes_table, label_of);
+            route(db, no, no_table, label_of);
         }
     }
 }

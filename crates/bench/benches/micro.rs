@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use crossmine_core::idset::{Stamp, TargetSet};
 use crossmine_core::learner::{ClauseLearner, SearchScratch};
-use crossmine_core::propagation::{propagate, ClauseState, PropagationScratch};
+use crossmine_core::propagation::{propagate, try_propagate, ClauseState, PropagationScratch};
 use crossmine_core::search::best_constraint_in;
 use crossmine_core::CrossMineParams;
 use crossmine_relational::{BindingTable, ClassLabel, Database, JoinEdge, JoinGraph};
@@ -125,14 +125,8 @@ fn bench_disk_vs_memory_propagation(c: &mut Criterion) {
     let target = db.target().unwrap();
     group.bench_function("disk_resident", |b| {
         b.iter(|| {
-            std::hint::black_box(
-                crossmine_storage::propagate_disk(
-                    &mut disk,
-                    state.annotation(target).unwrap(),
-                    &edge,
-                )
-                .unwrap(),
-            )
+            let source = crossmine_storage::DiskSource::new(&mut disk);
+            std::hint::black_box(try_propagate(&source, state.annotation(target).unwrap(), &edge))
         });
     });
     std::fs::remove_file(&path).ok();

@@ -3,10 +3,9 @@
 use crossmine_relational::{ClassLabel, DataError, Database, JoinGraph, RelationalError, Row};
 
 use crate::clause::Clause;
-use crate::idset::{Stamp, TargetSet};
+use crate::evaluate::{evaluate, EvalScratch, FireSink, LabelSink};
 use crate::learner::ClauseLearner;
 use crate::params::CrossMineParams;
-use crate::propagation::ClauseState;
 
 /// The CrossMine classifier (untrained): parameters only.
 #[derive(Debug, Clone, Default)]
@@ -104,7 +103,7 @@ impl CrossMine {
 }
 
 /// Validates that every row id indexes the target relation.
-fn check_rows_in_range(rows: &[Row], num_targets: usize) -> Result<(), RelationalError> {
+pub(crate) fn check_rows_in_range(rows: &[Row], num_targets: usize) -> Result<(), RelationalError> {
     for &r in rows {
         if r.0 as usize >= num_targets {
             return Err(DataError::RowOutOfRange { row: r.0 as u64, num_targets }.into());
@@ -116,67 +115,32 @@ fn check_rows_in_range(rows: &[Row], num_targets: usize) -> Result<(), Relationa
 impl CrossMineModel {
     /// Predicts the class of each row: the label of the most accurate clause
     /// it satisfies, else the default label (§5.3). Clause satisfaction is
-    /// computed with tuple-ID propagation, all rows at once per clause.
+    /// computed with tuple-ID propagation, all rows at once per clause
+    /// ([`evaluate`]); a row listed twice gets its label at both slots.
     ///
     /// # Errors
     ///
     /// [`DataError::RowOutOfRange`] when a row id is outside the target
     /// relation of `db`.
     pub fn predict(&self, db: &Database, rows: &[Row]) -> Result<Vec<ClassLabel>, RelationalError> {
-        let num_targets = db.num_targets();
-        check_rows_in_range(rows, num_targets)?;
-        // Positivity flags are irrelevant for satisfaction checking.
-        let dummy_pos = vec![false; num_targets];
-        let mut stamp = Stamp::new(num_targets);
-
-        let mut prediction: Vec<Option<ClassLabel>> = vec![None; rows.len()];
-        // Map target row id -> index in `rows`.
-        let mut slot_of: Vec<Option<usize>> = vec![None; num_targets];
-        for (i, r) in rows.iter().enumerate() {
-            slot_of[r.0 as usize] = Some(i);
-        }
-
-        let mut unassigned = TargetSet::from_rows(&dummy_pos, rows.iter().copied());
-        for clause in &self.clauses {
-            if unassigned.is_empty() {
-                break;
-            }
-            let mut state = ClauseState::new(db, &dummy_pos, unassigned.clone());
-            for lit in &clause.literals {
-                state.apply_literal(lit, &mut stamp);
-                if state.targets.is_empty() {
-                    break;
-                }
-            }
-            for r in state.targets.iter() {
-                if let Some(slot) = slot_of[r.0 as usize] {
-                    if prediction[slot].is_none() {
-                        prediction[slot] = Some(clause.label);
-                    }
-                }
-                unassigned.remove(r.0, &dummy_pos);
-            }
-        }
-        Ok(prediction.into_iter().map(|p| p.unwrap_or(self.default_label)).collect())
+        check_rows_in_range(rows, db.num_targets())?;
+        let mut sink = LabelSink::new(rows.len());
+        let Ok(_) =
+            evaluate(&self.clauses, db, &db.schema, rows, &mut sink, &mut EvalScratch::default());
+        Ok(sink.labels(&self.clauses, self.default_label))
     }
 
-    /// The rows among `rows` satisfying `clause` (exposed for diagnostics
-    /// and the baselines' shared evaluation).
+    /// The distinct rows among `rows` satisfying `clause`, ascending
+    /// (exposed for diagnostics and the baselines' shared evaluation).
     pub fn satisfiers(&self, db: &Database, clause: &Clause, rows: &[Row]) -> Vec<Row> {
-        let num_targets = db.num_targets();
-        let dummy_pos = vec![false; num_targets];
-        let mut stamp = Stamp::new(num_targets);
-        let initial = TargetSet::from_rows(&dummy_pos, rows.iter().copied());
-        let mut state = ClauseState::new(db, &dummy_pos, initial);
-        for lit in &clause.literals {
-            // Same early exit as `predict`: once no target survives, later
-            // literals cannot revive any (and empty batches skip all work).
-            if state.targets.is_empty() {
-                break;
-            }
-            state.apply_literal(lit, &mut stamp);
-        }
-        state.targets.iter().collect()
+        let mut sink = FireSink::new(rows.len());
+        let clauses = std::slice::from_ref(clause);
+        let Ok(_) = evaluate(clauses, db, &db.schema, rows, &mut sink, &mut EvalScratch::default());
+        let mut sat: Vec<Row> =
+            (0..rows.len()).filter(|&slot| !sink.fired(slot).is_empty()).map(|s| rows[s]).collect();
+        sat.sort_unstable();
+        sat.dedup();
+        sat
     }
 
     /// Number of learned clauses.

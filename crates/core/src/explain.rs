@@ -11,11 +11,9 @@ use std::collections::BTreeMap;
 
 use crossmine_relational::{ClassLabel, Database, Row};
 
-use crate::classifier::CrossMineModel;
-use crate::clause::Clause;
-use crate::idset::{Stamp, TargetSet};
+use crate::classifier::{check_rows_in_range, CrossMineModel};
+use crate::evaluate::{evaluate, EvalScratch, FireSink};
 use crate::literal::ConstraintKind;
-use crate::propagation::ClauseState;
 
 /// How often the model's clauses touch each relation/attribute.
 #[derive(Debug, Clone, Default)]
@@ -163,20 +161,6 @@ fn escape_json(s: &str) -> String {
     out
 }
 
-/// Builds the [`ClauseFire`] record for `clause` at rank `clause_index`.
-pub(crate) fn clause_fire(db: &Database, clause_index: usize, clause: &Clause) -> ClauseFire {
-    ClauseFire {
-        clause_index,
-        label: clause.label,
-        accuracy: clause.accuracy,
-        literals: clause
-            .literals
-            .iter()
-            .map(|lit| LiteralMatch { literal: lit.display(&db.schema), path_len: lit.path.len() })
-            .collect(),
-    }
-}
-
 impl CrossMineModel {
     /// [`predict`](CrossMineModel::predict) with full provenance: for each
     /// row, the predicted label plus *every* clause that fired (not just
@@ -199,53 +183,11 @@ impl CrossMineModel {
         db: &Database,
         rows: &[Row],
     ) -> Result<Vec<RowExplanation>, crossmine_relational::RelationalError> {
-        let num_targets = db.num_targets();
-        for &r in rows {
-            if r.0 as usize >= num_targets {
-                return Err(crossmine_relational::DataError::RowOutOfRange {
-                    row: r.0 as u64,
-                    num_targets,
-                }
-                .into());
-            }
-        }
-        let dummy_pos = vec![false; num_targets];
-        let mut stamp = Stamp::new(num_targets);
-        // slot lists per target row id (a row may appear more than once).
-        let mut fired_of: Vec<Vec<usize>> = vec![Vec::new(); rows.len()];
-        let mut slots_of: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-        for (i, r) in rows.iter().enumerate() {
-            slots_of.entry(r.0).or_default().push(i);
-        }
-
-        for (ci, clause) in self.clauses.iter().enumerate() {
-            let initial = TargetSet::from_rows(&dummy_pos, rows.iter().copied());
-            let mut state = ClauseState::new(db, &dummy_pos, initial);
-            for lit in &clause.literals {
-                if state.targets.is_empty() {
-                    break;
-                }
-                state.apply_literal(lit, &mut stamp);
-            }
-            for r in state.targets.iter() {
-                if let Some(slots) = slots_of.get(&r.0) {
-                    for &s in slots {
-                        fired_of[s].push(ci);
-                    }
-                }
-            }
-        }
-
-        Ok(rows
-            .iter()
-            .zip(fired_of)
-            .map(|(&row, fired_idx)| {
-                let fired: Vec<ClauseFire> =
-                    fired_idx.iter().map(|&ci| clause_fire(db, ci, &self.clauses[ci])).collect();
-                let label = fired.first().map_or(self.default_label, |f| f.label);
-                RowExplanation { row, label, default_used: fired.is_empty(), fired }
-            })
-            .collect())
+        check_rows_in_range(rows, db.num_targets())?;
+        let mut sink = FireSink::new(rows.len());
+        let Ok(_) =
+            evaluate(&self.clauses, db, &db.schema, rows, &mut sink, &mut EvalScratch::default());
+        Ok(sink.explain(&self.clauses, &db.schema, rows, self.default_label))
     }
 }
 

@@ -13,25 +13,25 @@ use crossmine_relational::{ClassLabel, Database, Row};
 
 use crate::classifier::{CrossMine, CrossMineModel};
 use crate::eval::RelationalClassifier;
+use crate::evaluate::{evaluate, EvalScratch, FireSink};
 use crate::logistic::LogisticRegression;
 use crate::params::CrossMineParams;
 
 /// Builds the clause-indicator feature matrix for `rows`: one row per
 /// target tuple, one 0/1 column per clause of `model` (clause order).
 pub fn propositionalize(model: &CrossMineModel, db: &Database, rows: &[Row]) -> Vec<Vec<f64>> {
-    let mut matrix = vec![vec![0.0; model.clauses.len()]; rows.len()];
-    let mut slot_of: Vec<Option<usize>> = vec![None; db.num_targets()];
-    for (i, r) in rows.iter().enumerate() {
-        slot_of[r.0 as usize] = Some(i);
-    }
-    for (j, clause) in model.clauses.iter().enumerate() {
-        for r in model.satisfiers(db, clause, rows) {
-            if let Some(i) = slot_of[r.0 as usize] {
-                matrix[i][j] = 1.0;
+    let mut sink = FireSink::new(rows.len());
+    let Ok(_) =
+        evaluate(&model.clauses, db, &db.schema, rows, &mut sink, &mut EvalScratch::default());
+    (0..rows.len())
+        .map(|slot| {
+            let mut features = vec![0.0; model.clauses.len()];
+            for &ci in sink.fired(slot) {
+                features[ci] = 1.0;
             }
-        }
-    }
-    matrix
+            features
+        })
+        .collect()
 }
 
 /// The §9 hybrid: CrossMine learns the clauses, a logistic regression

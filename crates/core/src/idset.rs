@@ -184,8 +184,9 @@ impl TargetSet {
 }
 
 /// Generation-stamped scratch array for distinct counting. `reset()` is O(1);
-/// `mark(id)` returns whether `id` was newly marked this generation.
-#[derive(Debug, Clone)]
+/// `mark(id)` returns whether `id` was newly marked this generation. The
+/// default stamp covers no ids.
+#[derive(Debug, Clone, Default)]
 pub struct Stamp {
     gen: u32,
     marks: Vec<u32>,

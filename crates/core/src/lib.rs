@@ -13,7 +13,9 @@
 //! IDs alone. Clauses of *complex literals* (join path + constraint,
 //! [`literal`]) are grown greedily with look-one-ahead ([`learner`]), and
 //! imbalanced problems are handled by negative-tuple sampling with a safe
-//! accuracy estimator ([`sampling`]).
+//! accuracy estimator ([`sampling`]). Prediction is one clause evaluator
+//! ([`evaluate`]) over any read-only
+//! [`TupleSource`](crossmine_relational::TupleSource).
 //!
 //! ```
 //! use crossmine_core::{CrossMine, eval::{cross_validate, RelationalClassifier}};
@@ -42,6 +44,7 @@
 pub mod classifier;
 pub mod clause;
 pub mod eval;
+pub mod evaluate;
 pub mod explain;
 pub mod features;
 pub mod gain;
@@ -61,6 +64,7 @@ pub mod stats;
 pub use classifier::{CrossMine, CrossMineModel};
 pub use clause::Clause;
 pub use eval::{cross_validate, CvResult, RelationalClassifier};
+pub use evaluate::{evaluate, EvalScratch, FireSink, LabelSink, Sink};
 pub use features::{propositionalize, CrossMineHybrid, CrossMineHybridModel};
 pub use idset::{IdSet, Stamp, TargetSet};
 pub use learner::{ClauseLearner, ScoredLiteral, SearchScratch};
@@ -68,7 +72,8 @@ pub use literal::{AggOp, CmpOp, ComplexLiteral, Constraint, ConstraintKind};
 pub use metrics::ConfusionMatrix;
 pub use params::{CrossMineParams, CrossMineParamsBuilder, ParamError};
 pub use propagation::{
-    propagate, AnnView, Annotation, ClauseState, PathScratch, PropStats, PropagationScratch,
+    propagate, try_propagate, AnnView, Annotation, ClauseState, PathScratch, PropStats,
+    PropagationScratch,
 };
 pub use pruning::{fit_with_pruning, prune, PruneConfig};
 pub use stats::{CacheStats, CachedEntry, PathKey, SourceSig, StatsCache};

@@ -7,10 +7,17 @@
 //! built or evaluated, which target tuples still satisfy it and which
 //! relations are *active* with which annotations — exactly the state
 //! maintained by Algorithm 2 ("update IDs on every active relation").
+//!
+//! All reads go through [`TupleSource`], so the same code runs in memory,
+//! over a delta overlay, or on disk (§8). `try_` methods return the
+//! source's read error; their plain twins serve infallible sources.
 
+use std::convert::Infallible;
 use std::sync::atomic;
 
-use crossmine_relational::{Database, JoinEdge, RelId, Row, Value};
+use crossmine_relational::{
+    AttrId, Database, DatabaseSchema, JoinEdge, KeyLookup, RelId, Row, TupleSource, Value,
+};
 
 use crate::idset::{IdSet, Stamp, TargetSet};
 use crate::literal::{AggOp, ComplexLiteral, Constraint, ConstraintKind};
@@ -125,12 +132,6 @@ impl<'a> From<&'a Annotation> for AnnView<'a> {
     }
 }
 
-impl<'a> From<&'a mut Annotation> for AnnView<'a> {
-    fn from(ann: &'a mut Annotation) -> Self {
-        ann.view()
-    }
-}
-
 impl<'a> AnnView<'a> {
     /// Number of tuples covered by the view.
     pub fn num_rows(&self) -> usize {
@@ -233,34 +234,48 @@ impl PropagationScratch {
     /// ⋃ idset(t)` over joinable `t`; null join values never match). The
     /// result is available through [`PropagationScratch::view`] until the
     /// next call.
-    pub fn propagate_from(&mut self, db: &Database, from: AnnView<'_>, edge: &JoinEdge) {
-        let from_rel = db.relation(edge.from);
-        let to_len = db.relation(edge.to).len();
-        debug_assert_eq!(from.num_rows(), from_rel.len());
-        let index = db.key_index(edge.to, edge.to_attr);
+    pub fn propagate_from<S: TupleSource<Error = Infallible>>(
+        &mut self,
+        src: &S,
+        from: AnnView<'_>,
+        edge: &JoinEdge,
+    ) {
+        let Ok(()) = self.try_propagate_from(src, from, edge);
+    }
+
+    /// [`propagate_from`](Self::propagate_from) over any source: reads
+    /// `edge.from`'s join column once and looks up `edge.to`'s key column.
+    pub fn try_propagate_from<S: TupleSource>(
+        &mut self,
+        src: &S,
+        from: AnnView<'_>,
+        edge: &JoinEdge,
+    ) -> Result<(), S::Error> {
+        let from_col = src.column(edge.from, edge.from_attr)?;
+        let from_col: &[Value] = &from_col;
+        let index = src.keys(edge.to, edge.to_attr)?;
+        let to_len = src.num_rows(edge.to);
+        debug_assert_eq!(from.num_rows(), from_col.len());
         let self_join = edge.from == edge.to && edge.from_attr == edge.to_attr;
         let caps = (self.offsets.capacity(), self.ids.capacity(), self.cursors.capacity());
 
         // Pass 1: count ids landing on every receiving tuple.
         self.cursors.clear();
         self.cursors.resize(to_len, 0);
-        for i in 0..from.num_rows() {
+        for (i, v) in from_col.iter().enumerate() {
             let set_len = from.ids(i).len() as u32;
             if set_len == 0 {
                 continue;
             }
-            let key = match from_rel.value(Row(i as u32), edge.from_attr) {
-                Value::Key(k) => k,
-                _ => continue,
-            };
-            for &to_row in index.rows(key) {
+            let Value::Key(key) = *v else { continue };
+            let cursors = &mut self.cursors;
+            index.for_each_row(key, |to_row| {
                 // Self-join edges must not let a tuple inherit its own ids
                 // through a different column of the same row.
-                if self_join && to_row.0 as usize == i {
-                    continue;
+                if !(self_join && to_row.0 as usize == i) {
+                    cursors[to_row.0 as usize] += set_len;
                 }
-                self.cursors[to_row.0 as usize] += set_len;
-            }
+            });
         }
 
         // Prefix sums: offsets[r] = start of row r's range.
@@ -277,24 +292,21 @@ impl PropagationScratch {
         self.cursors.copy_from_slice(&self.offsets[..to_len]);
         self.ids.clear();
         self.ids.resize(total as usize, 0);
-        for i in 0..from.num_rows() {
+        for (i, v) in from_col.iter().enumerate() {
             let set = from.ids(i);
             if set.is_empty() {
                 continue;
             }
-            let key = match from_rel.value(Row(i as u32), edge.from_attr) {
-                Value::Key(k) => k,
-                _ => continue,
-            };
-            for &to_row in index.rows(key) {
+            let Value::Key(key) = *v else { continue };
+            let (ids, cursors) = (&mut self.ids, &mut self.cursors);
+            index.for_each_row(key, |to_row| {
                 let r = to_row.0 as usize;
-                if self_join && r == i {
-                    continue;
+                if !(self_join && r == i) {
+                    let cur = cursors[r] as usize;
+                    ids[cur..cur + set.len()].copy_from_slice(set);
+                    cursors[r] += set.len() as u32;
                 }
-                let cur = self.cursors[r] as usize;
-                self.ids[cur..cur + set.len()].copy_from_slice(set);
-                self.cursors[r] += set.len() as u32;
-            }
+            });
         }
 
         // Pass 3: sort + dedup each row's range in place, compacting the
@@ -326,6 +338,7 @@ impl PropagationScratch {
         if caps == (self.offsets.capacity(), self.ids.capacity(), self.cursors.capacity()) {
             self.stats.capacity_hits += 1;
         }
+        Ok(())
     }
 
     /// The result of the last [`PropagationScratch::propagate_from`].
@@ -370,29 +383,25 @@ impl PathScratch {
     /// edge of the path in order, returning the annotation of the final
     /// relation. `edges` must be non-empty and chained
     /// (`edges[i].to == edges[i + 1].from`).
-    pub fn propagate_path(
+    pub fn propagate_path<S: TupleSource>(
         &mut self,
-        db: &Database,
+        src: &S,
         from: AnnView<'_>,
         edges: &[JoinEdge],
-    ) -> Annotation {
+    ) -> Result<Annotation, S::Error> {
         assert!(!edges.is_empty(), "prop-path must have at least one edge");
         debug_assert!(edges.windows(2).all(|w| w[0].to == w[1].from), "path edges must chain");
-        self.ping.propagate_from(db, from, &edges[0]);
+        self.ping.try_propagate_from(src, from, &edges[0])?;
         let mut in_ping = true;
         for edge in &edges[1..] {
             if in_ping {
-                self.pong.propagate_from(db, self.ping.view(), edge);
+                self.pong.try_propagate_from(src, self.ping.view(), edge)?;
             } else {
-                self.ping.propagate_from(db, self.pong.view(), edge);
+                self.ping.try_propagate_from(src, self.pong.view(), edge)?;
             }
             in_ping = !in_ping;
         }
-        if in_ping {
-            self.ping.to_annotation()
-        } else {
-            self.pong.to_annotation()
-        }
+        Ok(if in_ping { self.ping.to_annotation() } else { self.pong.to_annotation() })
     }
 
     /// Returns and resets the counters of both halves, combined.
@@ -410,10 +419,24 @@ impl PathScratch {
 /// Convenience wrapper over [`PropagationScratch`] for callers that want an
 /// owned [`Annotation`]; hot paths should hold a scratch and use
 /// [`PropagationScratch::propagate_from`] directly to avoid reallocating.
-pub fn propagate(db: &Database, from_ann: &Annotation, edge: &JoinEdge) -> Annotation {
+pub fn propagate<S: TupleSource<Error = Infallible>>(
+    src: &S,
+    from_ann: &Annotation,
+    edge: &JoinEdge,
+) -> Annotation {
+    let Ok(ann) = try_propagate(src, from_ann, edge);
+    ann
+}
+
+/// [`propagate`] over any source, returning its read error.
+pub fn try_propagate<S: TupleSource>(
+    src: &S,
+    from_ann: &Annotation,
+    edge: &JoinEdge,
+) -> Result<Annotation, S::Error> {
     let mut scratch = PropagationScratch::new();
-    scratch.propagate_from(db, from_ann.view(), edge);
-    scratch.to_annotation()
+    scratch.try_propagate_from(src, from_ann.view(), edge)?;
+    Ok(scratch.to_annotation())
 }
 
 /// Per-target aggregate accumulators for aggregation literals (§5.1: "by
@@ -445,22 +468,34 @@ impl AggStats {
 /// Computes per-target aggregate stats over relation `rel` given its
 /// annotation. `attr` is the aggregated numerical column (`None` for pure
 /// `count`). Only IDs in `targets` accumulate. Indexed by target row.
-pub fn aggregate<'a>(
-    db: &Database,
+pub fn aggregate<'a, S: TupleSource<Error = Infallible>>(
+    src: &S,
     rel: RelId,
-    attr: Option<crossmine_relational::AttrId>,
+    attr: Option<AttrId>,
     ann: impl Into<AnnView<'a>>,
     targets: &TargetSet,
 ) -> Vec<AggStats> {
-    let ann = ann.into();
-    let relation = db.relation(rel);
+    let Ok(stats) = try_aggregate(src, rel, attr, ann.into(), targets);
+    stats
+}
+
+/// [`aggregate`] over any source. Rows accumulate in ascending order, so
+/// float sums are bit-identical whatever the source.
+fn try_aggregate<S: TupleSource>(
+    src: &S,
+    rel: RelId,
+    attr: Option<AttrId>,
+    ann: AnnView<'_>,
+    targets: &TargetSet,
+) -> Result<Vec<AggStats>, S::Error> {
+    let column = attr.map(|a| src.column(rel, a)).transpose()?;
     let mut acc = vec![AggStats::default(); targets.capacity()];
     for i in 0..ann.num_rows() {
         let set = ann.ids(i);
         if set.is_empty() {
             continue;
         }
-        let num = attr.and_then(|a| relation.value(Row(i as u32), a).as_num());
+        let num = column.as_ref().and_then(|c| c[i].as_num());
         for &id in set {
             if !targets.contains(id) {
                 continue;
@@ -473,16 +508,17 @@ pub fn aggregate<'a>(
             }
         }
     }
-    acc
+    Ok(acc)
 }
 
 /// The evolving state of one clause: surviving targets plus the annotation
 /// of every active relation. Used both while *building* a clause
-/// (Algorithm 2) and while *evaluating* one on unseen tuples (§5.3).
+/// (Algorithm 2) and while *evaluating* one on unseen tuples (§5.3), over
+/// any [`TupleSource`].
 #[derive(Debug)]
-pub struct ClauseState<'a> {
+pub struct ClauseState<'a, S: TupleSource = Database> {
     /// The database being classified.
-    pub db: &'a Database,
+    pub db: &'a S,
     /// Target tuples satisfying the clause so far.
     pub targets: TargetSet,
     /// `annotations[rel]` is `Some` iff `rel` is active.
@@ -498,7 +534,7 @@ pub struct ClauseState<'a> {
     epochs: Vec<u32>,
 }
 
-impl Clone for ClauseState<'_> {
+impl<S: TupleSource> Clone for ClauseState<'_, S> {
     /// Clones get a fresh `state_id`: the copy diverges from the original,
     /// so they must not share count-store entries keyed by state.
     fn clone(&self) -> Self {
@@ -518,13 +554,24 @@ impl<'a> ClauseState<'a> {
     /// A fresh state: only the target relation is active, annotated with the
     /// identity over `initial` targets.
     pub fn new(db: &'a Database, is_pos: &'a [bool], initial: TargetSet) -> Self {
-        let target_rel = db.target().expect("database must have a target relation");
-        let num_relations = db.schema.num_relations();
+        ClauseState::over(db, &db.schema, is_pos, initial)
+    }
+}
+
+impl<'a, S: TupleSource> ClauseState<'a, S> {
+    /// [`new`](ClauseState::new) over any source laid out as `schema`.
+    pub fn over(
+        src: &'a S,
+        schema: &DatabaseSchema,
+        is_pos: &'a [bool],
+        initial: TargetSet,
+    ) -> Self {
+        let target_rel = schema.target().expect("database must have a target relation");
+        let num_relations = schema.num_relations();
         let mut annotations: Vec<Option<Annotation>> = (0..num_relations).map(|_| None).collect();
-        annotations[target_rel.0] =
-            Some(Annotation::identity(db.relation(target_rel).len(), &initial));
+        annotations[target_rel.0] = Some(Annotation::identity(src.num_rows(target_rel), &initial));
         ClauseState {
-            db,
+            db: src,
             targets: initial,
             annotations,
             is_pos,
@@ -560,69 +607,28 @@ impl<'a> ClauseState<'a> {
         self.annotations[rel.0].as_ref()
     }
 
-    /// Propagates the current annotation of active relation `edge.from`
-    /// across `edge` (panics if `edge.from` is inactive — callers only
-    /// propagate from active relations, per Algorithm 3).
-    pub fn propagate_edge(&self, edge: &JoinEdge) -> Annotation {
-        let from = self.annotations[edge.from.0]
-            .as_ref()
-            .expect("propagation must start from an active relation");
-        propagate(self.db, from, edge)
-    }
-
-    /// Resolves the annotation a literal's constraint applies to: follows the
-    /// prop-path from its (active) source, or clones the constrained
-    /// relation's current annotation for empty paths.
-    pub fn annotation_for(&self, lit: &ComplexLiteral) -> Annotation {
-        if lit.path.is_empty() {
-            self.annotations[lit.constraint.rel.0]
-                .clone()
-                .expect("local literal on an inactive relation")
-        } else {
-            let mut ann = self.propagate_edge(&lit.path[0]);
-            for edge in &lit.path[1..] {
-                ann = propagate(self.db, &ann, edge);
-            }
-            ann
-        }
+    /// The current annotation of `rel`, which callers guarantee is active
+    /// (Algorithm 3 only propagates from, and constrains, active relations).
+    fn active(&self, rel: RelId) -> &Annotation {
+        self.annotations[rel.0].as_ref().expect("literal reads an inactive relation")
     }
 
     /// Appends `lit` to the clause: eliminates tuples/targets not satisfying
     /// it, refreshes every active annotation, and marks the constrained
-    /// relation active (Algorithm 2's inner update).
-    pub fn apply_literal(&mut self, lit: &ComplexLiteral, stamp: &mut Stamp) {
-        let ann = self.annotation_for(lit);
-        self.finish_literal(lit, ann, stamp);
-    }
-
-    /// [`apply_literal`](Self::apply_literal) with path propagation through
-    /// a caller-owned [`PathScratch`], so repeated clause evaluation (the
-    /// serving hot path) performs no per-edge scratch allocation. Produces
-    /// exactly the same state as `apply_literal`.
-    pub fn apply_literal_scratch(
+    /// relation active (Algorithm 2's inner update). Prop-paths propagate
+    /// through the caller-owned `path` buffers; a read error from the source
+    /// leaves the state unchanged.
+    pub fn try_apply_literal(
         &mut self,
         lit: &ComplexLiteral,
         stamp: &mut Stamp,
         path: &mut PathScratch,
-    ) {
-        let ann = if lit.path.is_empty() {
-            self.annotations[lit.constraint.rel.0]
-                .clone()
-                .expect("local literal on an inactive relation")
-        } else {
-            let from = self.annotations[lit.path[0].from.0]
-                .as_ref()
-                .expect("propagation must start from an active relation");
-            path.propagate_path(self.db, from.view(), &lit.path)
+    ) -> Result<(), S::Error> {
+        let mut ann = match lit.path.first() {
+            None => self.active(lit.constraint.rel).clone(),
+            Some(edge) => path.propagate_path(self.db, self.active(edge.from).view(), &lit.path)?,
         };
-        self.finish_literal(lit, ann, stamp);
-    }
-
-    /// Shared tail of the two `apply_literal` variants: constrain, shrink
-    /// the target set, refresh active annotations, activate the constrained
-    /// relation.
-    fn finish_literal(&mut self, lit: &ComplexLiteral, mut ann: Annotation, stamp: &mut Stamp) {
-        let surviving = constrain(self.db, &lit.constraint, &mut ann, &self.targets, stamp);
+        let surviving = constrain(self.db, &lit.constraint, &mut ann, &self.targets, stamp)?;
         // Shrink the surviving-target set.
         self.targets.retain(self.is_pos, |id| surviving.is_marked(id));
         // Update IDs on every active relation.
@@ -634,6 +640,22 @@ impl<'a> ClauseState<'a> {
         // The constrained relation's annotation was rebuilt from a literal,
         // not merely restricted: cached statistics sourced there are stale.
         self.epochs[lit.constraint.rel.0] += 1;
+        Ok(())
+    }
+}
+
+impl<S: TupleSource<Error = Infallible>> ClauseState<'_, S> {
+    /// Propagates the current annotation of active relation `edge.from`
+    /// across `edge` (panics if `edge.from` is inactive — callers only
+    /// propagate from active relations, per Algorithm 3).
+    pub fn propagate_edge(&self, edge: &JoinEdge) -> Annotation {
+        propagate(self.db, self.active(edge.from), edge)
+    }
+
+    /// [`try_apply_literal`](Self::try_apply_literal) with fresh path
+    /// buffers, for in-memory sources.
+    pub fn apply_literal(&mut self, lit: &ComplexLiteral, stamp: &mut Stamp) {
+        let Ok(()) = self.try_apply_literal(lit, stamp, &mut PathScratch::new());
     }
 }
 
@@ -642,36 +664,35 @@ impl<'a> ClauseState<'a> {
 /// cleared); for aggregation constraints tuples are kept but targets whose
 /// aggregate fails are dropped. Returns (via `stamp`) the set of target ids
 /// that still satisfy the clause — callers filter on `stamp.is_marked`.
-fn constrain<'s>(
-    db: &Database,
+/// Reads the constrained column once, in one scan (none for pure counts).
+fn constrain<'s, S: TupleSource>(
+    src: &S,
     constraint: &Constraint,
     ann: &mut Annotation,
     targets: &TargetSet,
     stamp: &'s mut Stamp,
-) -> &'s Stamp {
-    let relation = db.relation(constraint.rel);
+) -> Result<&'s Stamp, S::Error> {
     match &constraint.kind {
         ConstraintKind::CatEq { attr, value } => {
-            let col = relation.column(*attr);
-            for (i, set) in ann.idsets.iter_mut().enumerate() {
-                if col[i] != Value::Cat(*value) {
+            let col = src.column(constraint.rel, *attr)?;
+            for (set, v) in ann.idsets.iter_mut().zip(col.iter()) {
+                if *v != Value::Cat(*value) {
                     set.clear();
                 }
             }
-            mark_covered(ann, targets, stamp)
+            Ok(mark_covered(ann, targets, stamp))
         }
         ConstraintKind::Num { attr, op, threshold } => {
-            let col = relation.column(*attr);
-            for (i, set) in ann.idsets.iter_mut().enumerate() {
-                let keep = matches!(col[i], Value::Num(x) if op.test(x, *threshold));
-                if !keep {
+            let col = src.column(constraint.rel, *attr)?;
+            for (set, v) in ann.idsets.iter_mut().zip(col.iter()) {
+                if !matches!(v, Value::Num(x) if op.test(*x, *threshold)) {
                     set.clear();
                 }
             }
-            mark_covered(ann, targets, stamp)
+            Ok(mark_covered(ann, targets, stamp))
         }
         ConstraintKind::Agg { agg, attr, op, threshold } => {
-            let stats = aggregate(db, constraint.rel, *attr, ann, targets);
+            let stats = try_aggregate(src, constraint.rel, *attr, ann.view(), targets)?;
             stamp.reset();
             for (id, s) in stats.iter().enumerate() {
                 if let Some(v) = s.value(*agg) {
@@ -680,7 +701,7 @@ fn constrain<'s>(
                     }
                 }
             }
-            stamp
+            Ok(stamp)
         }
     }
 }
@@ -927,7 +948,7 @@ mod tests {
             let mut a = ClauseState::new(&db, &is_pos, TargetSet::all(&is_pos));
             let mut b = a.clone();
             a.apply_literal(lit, &mut stamp);
-            b.apply_literal_scratch(lit, &mut stamp, &mut path);
+            let Ok(()) = b.try_apply_literal(lit, &mut stamp, &mut path);
             assert_eq!(a.targets, b.targets);
             for (x, y) in a.annotations.iter().zip(&b.annotations) {
                 match (x, y) {

@@ -17,8 +17,6 @@ use crossmine_relational::{Database, Row};
 use crate::classifier::CrossMineModel;
 use crate::clause::Clause;
 use crate::gain::laplace_accuracy;
-use crate::idset::{Stamp, TargetSet};
-use crate::propagation::ClauseState;
 
 /// Pruning configuration.
 #[derive(Debug, Clone)]
@@ -35,33 +33,20 @@ impl Default for PruneConfig {
     }
 }
 
-/// Coverage of one literal-prefix on the validation rows.
+/// Coverage `(correct, wrong)` of `clause`'s first `prefix_len` literals on
+/// the validation rows.
 fn prefix_coverage(
+    model: &CrossMineModel,
     db: &Database,
     clause: &Clause,
     prefix_len: usize,
     rows: &[Row],
-    stamp: &mut Stamp,
 ) -> (usize, usize) {
-    let dummy = vec![false; db.num_targets()];
-    let initial = TargetSet::from_rows(&dummy, rows.iter().copied());
-    let mut state = ClauseState::new(db, &dummy, initial);
-    for lit in &clause.literals[..prefix_len] {
-        state.apply_literal(lit, stamp);
-        if state.targets.is_empty() {
-            break;
-        }
-    }
-    let mut pos = 0;
-    let mut neg = 0;
-    for r in state.targets.iter() {
-        if db.label(r) == clause.label {
-            pos += 1;
-        } else {
-            neg += 1;
-        }
-    }
-    (pos, neg)
+    let mut prefix = clause.clone();
+    prefix.literals.truncate(prefix_len);
+    let covered = model.satisfiers(db, &prefix, rows);
+    let pos = covered.iter().filter(|&&r| db.label(r) == clause.label).count();
+    (pos, covered.len() - pos)
 }
 
 /// Prunes `model` against `validation_rows` (held out from training).
@@ -73,7 +58,6 @@ pub fn prune(
     config: &PruneConfig,
 ) -> CrossMineModel {
     let num_classes = model.classes.len().max(2);
-    let mut stamp = Stamp::new(db.num_targets());
 
     // Majority rate on validation = the bar a clause must beat.
     let majority = validation_rows.iter().filter(|r| db.label(**r) == model.default_label).count()
@@ -85,12 +69,12 @@ pub fn prune(
         // Find the best prefix by validated Laplace accuracy.
         let mut best_len = clause.literals.len();
         let mut best_acc = {
-            let (p, n) = prefix_coverage(db, clause, best_len, validation_rows, &mut stamp);
+            let (p, n) = prefix_coverage(model, db, clause, best_len, validation_rows);
             laplace_accuracy(p, n as f64, num_classes)
         };
         if config.truncate_literals {
             for len in 1..clause.literals.len() {
-                let (p, n) = prefix_coverage(db, clause, len, validation_rows, &mut stamp);
+                let (p, n) = prefix_coverage(model, db, clause, len, validation_rows);
                 let acc = laplace_accuracy(p, n as f64, num_classes);
                 // Strictly better, or equal with fewer literals.
                 if acc > best_acc {
@@ -105,7 +89,7 @@ pub fn prune(
             continue;
         }
         if config.drop_weak_clauses {
-            let (p, n) = prefix_coverage(db, clause, best_len, validation_rows, &mut stamp);
+            let (p, n) = prefix_coverage(model, db, clause, best_len, validation_rows);
             if p == 0 && n > 0 {
                 continue; // only wrong on validation
             }

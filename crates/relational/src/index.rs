@@ -23,8 +23,13 @@ pub struct KeyIndex {
 impl KeyIndex {
     /// Builds the index over `rel`'s column `attr` (must be a key column).
     pub fn build(rel: &Relation, attr: AttrId) -> Self {
+        Self::from_column(rel.column(attr))
+    }
+
+    /// Builds the index over one key column's values, in row order.
+    pub fn from_column(column: &[Value]) -> Self {
         let mut map: HashMap<u64, Vec<Row>> = HashMap::new();
-        for (i, v) in rel.column(attr).iter().enumerate() {
+        for (i, v) in column.iter().enumerate() {
             if let Value::Key(k) = v {
                 map.entry(*k).or_default().push(Row(i as u32));
             }

@@ -14,7 +14,9 @@
 //! * the §3.1 join graph — pk–fk joins and fk–fk joins sharing a primary key
 //!   ([`joins`]),
 //! * physical joins via binding tables, used by the FOIL/TILDE baselines
-//!   ([`physical`]), and
+//!   ([`physical`]),
+//! * the read-only [`TupleSource`] the clause evaluator runs over
+//!   ([`source`]), and
 //! * plain-text persistence ([`csv`]).
 //!
 //! ```
@@ -49,17 +51,19 @@ pub mod joins;
 pub mod physical;
 pub mod relation;
 pub mod schema;
+pub mod source;
 pub mod stats;
 pub mod value;
 
 pub use builder::DatabaseBuilder;
 pub use csv::LoadOptions;
 pub use database::Database;
-pub use delta::{DeltaBatch, DeltaOp, DeltaOverlay};
+pub use delta::{DeltaBatch, DeltaOp, DeltaOverlay, MergedKeys, MergedView};
 pub use error::{DataError, RelationalError, Result, SchemaError};
 pub use index::{KeyIndex, SortedIndex};
 pub use joins::{JoinEdge, JoinGraph, JoinKind};
 pub use physical::BindingTable;
 pub use relation::{Relation, Row};
 pub use schema::{AttrId, Attribute, DatabaseSchema, RelId, RelationSchema};
+pub use source::{KeyLookup, TupleSource};
 pub use value::{AttrType, ClassLabel, Value};

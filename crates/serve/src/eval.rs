@@ -1,35 +1,37 @@
-//! Batched clause-plan evaluation.
+//! Batched clause-plan evaluation: core's [`evaluate`] — the evaluator
+//! [`CrossMineModel::predict`](crossmine_core::CrossMineModel::predict)
+//! calls, so results are byte-identical — over three sources:
 //!
-//! [`evaluate_batch`] scores N target rows in **one tuple-ID propagation
-//! pass per clause** — the same algorithm as
-//! [`CrossMineModel::predict`](crossmine_core::CrossMineModel::predict),
-//! literal for literal, so results are byte-identical — but all scratch
-//! state ([`ServeScratch`]) lives with the caller (one per server worker)
-//! and path propagation goes through [`PathScratch`]'s reused CSR buffers,
-//! so steady-state evaluation performs no per-request propagation
-//! allocation. The surviving-[`TargetSet`] acts as the early-exit bitmap:
-//! once every batched row has been assigned by an earlier (more accurate)
-//! clause, remaining clauses are skipped outright.
+//! * the base [`Database`] ([`evaluate_batch`]);
+//! * base + a validated [`DeltaOverlay`], read in place as one merged
+//!   database ([`evaluate_batch_overlay`]) — no plan recompile, no copy
+//!   of the base, and byte-identical to materializing the delta
+//!   ([`Database::apply_delta`]) and calling [`evaluate_batch`];
+//! * a disk-resident [`DiskDatabase`], every tuple read going through its
+//!   buffer pool ([`predict_disk`], paper §8).
+//!
+//! Scratch state ([`ServeScratch`]) lives with the caller (one per server
+//! worker), so steady-state evaluation performs no per-request
+//! propagation allocation.
+//!
+//! [`Database::apply_delta`]: crossmine_relational::Database::apply_delta
 
-use crossmine_core::explain::{ClauseFire, LiteralMatch, RowExplanation};
-use crossmine_core::idset::{Stamp, TargetSet};
-use crossmine_core::propagation::{ClauseState, PathScratch};
+use crossmine_core::evaluate::{evaluate, EvalScratch, FireSink, LabelSink, Sink};
+use crossmine_core::explain::RowExplanation;
 use crossmine_obs::ObsHandle;
-use crossmine_relational::{ClassLabel, Database, Row};
+use crossmine_relational::{ClassLabel, Database, DeltaOverlay, MergedView, Row, TupleSource};
+use crossmine_storage::pager::Result as StorageResult;
+use crossmine_storage::{DiskDatabase, DiskSource};
 
-use crate::plan::{CompiledClause, CompiledPlan};
+use crate::plan::CompiledPlan;
 
-/// Per-worker reusable state for [`evaluate_batch`]: positivity dummies,
-/// the distinct-counting stamp, the per-row label assignments, and the CSR
-/// ping-pong buffers for prop-path propagation. All buffers survive across
-/// batches; only a change in the database's target cardinality re-sizes
-/// them.
+/// Per-worker reusable state for [`evaluate_batch`] and
+/// [`evaluate_batch_overlay`]: the evaluator's buffers, which survive
+/// across batches (only a change in the target cardinality re-sizes them),
+/// and the observability handle.
 #[derive(Debug, Default)]
 pub struct ServeScratch {
-    dummy_pos: Vec<bool>,
-    stamp: Option<Stamp>,
-    label_of: Vec<Option<ClassLabel>>,
-    path: PathScratch,
+    eval: EvalScratch,
     obs: ObsHandle,
 }
 
@@ -45,26 +47,54 @@ impl ServeScratch {
     pub fn with_obs(obs: ObsHandle) -> Self {
         ServeScratch { obs, ..Default::default() }
     }
-
-    fn ensure(&mut self, num_targets: usize) {
-        if self.dummy_pos.len() != num_targets {
-            self.dummy_pos = vec![false; num_targets];
-            self.stamp = Some(Stamp::new(num_targets));
-            self.label_of = vec![None; num_targets];
-        }
-    }
 }
 
-/// Predicts the class of each of `rows` under `plan`, mirroring
+/// Asserts that `db` is laid out as the schema `plan` was compiled for.
+fn check_plan(plan: &CompiledPlan, db: &Database) {
+    assert_eq!(
+        db.schema.num_relations(),
+        plan.num_relations,
+        "database does not match the schema this plan was compiled for"
+    );
+    assert_eq!(db.target(), Ok(plan.target), "database target differs from the plan's");
+}
+
+/// Runs core's evaluator for `plan` over `src` (laid out as `db`'s schema)
+/// into `sink`, inside span `span`, flushing the serve counters when obs is
+/// enabled.
+fn run<S: TupleSource, K: Sink>(
+    plan: &CompiledPlan,
+    src: &S,
+    db: &Database,
+    rows: &[Row],
+    scratch: &mut ServeScratch,
+    span: &'static str,
+    sink: &mut K,
+) -> Result<(), S::Error> {
+    let obs = scratch.obs.clone();
+    let _batch = obs.span(span);
+    let clauses = evaluate(&plan.clauses, src, &db.schema, rows, sink, &mut scratch.eval)?;
+    if obs.is_enabled() {
+        if K::FIRST_FIRE_ONLY {
+            obs.add("serve.rows_scored", rows.len() as u64);
+            obs.add("serve.clauses_evaluated", clauses as u64);
+        } else {
+            obs.add("serve.rows_explained", rows.len() as u64);
+        }
+        let stats = scratch.eval.take_stats();
+        obs.add("propagation.passes", stats.passes);
+        obs.add("propagation.ids_propagated", stats.ids_propagated);
+        obs.add("propagation.csr_capacity_hits", stats.capacity_hits);
+    }
+    Ok(())
+}
+
+/// Predicts the class of each of `rows` under `plan`, exactly as
 /// [`CrossMineModel::predict`](crossmine_core::CrossMineModel::predict)
-/// exactly: per clause (accuracy-descending), one propagation pass checks
+/// does: per clause (accuracy-descending), one propagation pass checks
 /// satisfaction of all still-unassigned rows at once; a satisfied row takes
-/// the clause's label; rows no clause covers take the default label.
-///
-/// Labels are assigned per *row*, not per batch slot, so a row that appears
-/// several times in one batch (concurrent clients asking about the same
-/// entity land in the same micro-batch) gets the same — correct — label at
-/// every occurrence, exactly as if each occurrence were predicted alone.
+/// the clause's label; rows no clause covers take the default label. A row
+/// listed at several slots gets its label at every one.
 ///
 /// # Panics
 ///
@@ -78,74 +108,10 @@ pub fn evaluate_batch(
     rows: &[Row],
     scratch: &mut ServeScratch,
 ) -> Vec<ClassLabel> {
-    assert_eq!(
-        db.schema.num_relations(),
-        plan.num_relations,
-        "database does not match the schema this plan was compiled for"
-    );
-    assert_eq!(db.target(), Ok(plan.target), "database target differs from the plan's");
-    let num_targets = db.num_targets();
-    scratch.ensure(num_targets);
-    let obs = scratch.obs.clone();
-    let _batch = obs.span("serve.evaluate_batch");
-    let ServeScratch { dummy_pos, stamp, label_of, path, .. } = scratch;
-    let stamp = stamp.as_mut().expect("ensure() populated the stamp");
-
-    // `TargetSet` is a bitmap, so duplicate occurrences of a row collapse
-    // into one propagated target; `label_of` then fans the result back out
-    // to every batch slot holding that row.
-    let mut unassigned = TargetSet::from_rows(dummy_pos, rows.iter().copied());
-    let mut clauses_evaluated = 0u64;
-    for clause in &plan.clauses {
-        if unassigned.is_empty() {
-            break;
-        }
-        clauses_evaluated += 1;
-        let mut state = ClauseState::new(db, dummy_pos, unassigned.clone());
-        for lit in &clause.literals {
-            state.apply_literal_scratch(lit, stamp, path);
-            if state.targets.is_empty() {
-                break;
-            }
-        }
-        for r in state.targets.iter() {
-            let slot = &mut label_of[r.0 as usize];
-            if slot.is_none() {
-                *slot = Some(clause.label);
-            }
-            unassigned.remove(r.0, dummy_pos);
-        }
-    }
-    if obs.is_enabled() {
-        obs.add("serve.rows_scored", rows.len() as u64);
-        obs.add("serve.clauses_evaluated", clauses_evaluated);
-        let stats = path.take_stats();
-        obs.add("propagation.passes", stats.passes);
-        obs.add("propagation.ids_propagated", stats.ids_propagated);
-        obs.add("propagation.csr_capacity_hits", stats.capacity_hits);
-    }
-
-    let out = rows.iter().map(|r| label_of[r.0 as usize].unwrap_or(plan.default_label)).collect();
-    // Reset only the touched entries so the map stays clean for the next
-    // batch without an O(num_targets) sweep.
-    for r in rows {
-        label_of[r.0 as usize] = None;
-    }
-    out
-}
-
-/// Builds the provenance record for a compiled clause at rank `index`.
-fn compiled_clause_fire(db: &Database, index: usize, clause: &CompiledClause) -> ClauseFire {
-    ClauseFire {
-        clause_index: index,
-        label: clause.label,
-        accuracy: clause.accuracy,
-        literals: clause
-            .literals
-            .iter()
-            .map(|lit| LiteralMatch { literal: lit.display(&db.schema), path_len: lit.path.len() })
-            .collect(),
-    }
+    check_plan(plan, db);
+    let mut sink = LabelSink::new(rows.len());
+    let Ok(()) = run(plan, db, db, rows, scratch, "serve.evaluate_batch", &mut sink);
+    sink.labels(&plan.clauses, plan.default_label)
 }
 
 /// [`evaluate_batch`] with full per-row provenance: returns one
@@ -170,57 +136,211 @@ pub fn evaluate_batch_traced(
     rows: &[Row],
     scratch: &mut ServeScratch,
 ) -> Vec<RowExplanation> {
+    check_plan(plan, db);
+    let mut sink = FireSink::new(rows.len());
+    let Ok(()) = run(plan, db, db, rows, scratch, "serve.evaluate_batch_traced", &mut sink);
+    sink.explain(&plan.clauses, &db.schema, rows, plan.default_label)
+}
+
+/// Per-worker reusable state for [`evaluate_batch_overlay`]: the same
+/// buffers as [`ServeScratch`], which re-size only when the merged target
+/// cardinality changes (a new overlay landed).
+pub type OverlayScratch = ServeScratch;
+
+/// The merged view of `base` + `delta`, after checking both against `plan`.
+fn merged<'a>(plan: &CompiledPlan, base: &'a Database, delta: &'a DeltaOverlay) -> MergedView<'a> {
+    check_plan(plan, base);
+    assert!(delta.matches(base), "delta overlay was not built against this database snapshot");
+    delta.view(base)
+}
+
+/// [`evaluate_batch`] against base + overlay: predicts the class of each
+/// of `rows` (merged target row ids — overlay tail rows are addressable
+/// past the base length) under `plan` without recompiling or
+/// materializing. Byte-identical to applying the delta and calling
+/// `evaluate_batch` on the merged database.
+///
+/// # Panics
+///
+/// Panics when `base` does not match the plan's schema, when `delta` was
+/// built against a different snapshot, or when a row id is outside the
+/// merged target range — caller wiring errors, never data-dependent.
+pub fn evaluate_batch_overlay(
+    plan: &CompiledPlan,
+    base: &Database,
+    delta: &DeltaOverlay,
+    rows: &[Row],
+    scratch: &mut OverlayScratch,
+) -> Vec<ClassLabel> {
+    let view = merged(plan, base, delta);
+    let mut sink = LabelSink::new(rows.len());
+    let Ok(()) = run(plan, &view, base, rows, scratch, "serve.evaluate_batch_overlay", &mut sink);
+    sink.labels(&plan.clauses, plan.default_label)
+}
+
+/// [`evaluate_batch_traced`] against base + overlay: full per-row
+/// provenance over the merged view. Labels and fired clauses are
+/// byte-identical to tracing the materialized merge.
+///
+/// # Panics
+///
+/// Same wiring-error panics as [`evaluate_batch_overlay`].
+pub fn evaluate_batch_overlay_traced(
+    plan: &CompiledPlan,
+    base: &Database,
+    delta: &DeltaOverlay,
+    rows: &[Row],
+    scratch: &mut OverlayScratch,
+) -> Vec<RowExplanation> {
+    let view = merged(plan, base, delta);
+    let mut sink = FireSink::new(rows.len());
+    let span = "serve.evaluate_batch_overlay_traced";
+    let Ok(()) = run(plan, &view, base, rows, scratch, span, &mut sink);
+    sink.explain(&plan.clauses, &base.schema, rows, plan.default_label)
+}
+
+/// Predicts the class of each of `rows` under `plan`, with all tuple data
+/// read through `disk`'s buffer pool: each column a literal touches in one
+/// sequential scan, each join's key column kept as an in-memory map for
+/// the call (§8.1). Identical to [`evaluate_batch`] on the database the
+/// disk image was spilled from; the pool's hit/miss statistics are the
+/// caller's to report via [`DiskDatabase::stats`].
+pub fn predict_disk(
+    plan: &CompiledPlan,
+    disk: &mut DiskDatabase,
+    rows: &[Row],
+) -> StorageResult<Vec<ClassLabel>> {
     assert_eq!(
-        db.schema.num_relations(),
+        disk.schema.num_relations(),
         plan.num_relations,
-        "database does not match the schema this plan was compiled for"
+        "disk database does not match the schema this plan was compiled for"
     );
-    assert_eq!(db.target(), Ok(plan.target), "database target differs from the plan's");
-    let num_targets = db.num_targets();
-    scratch.ensure(num_targets);
-    let obs = scratch.obs.clone();
-    let _batch = obs.span("serve.evaluate_batch_traced");
-    let ServeScratch { dummy_pos, stamp, path, .. } = scratch;
-    let stamp = stamp.as_mut().expect("ensure() populated the stamp");
+    let schema = disk.schema.clone();
+    let mut sink = LabelSink::new(rows.len());
+    let source = DiskSource::new(disk);
+    evaluate(&plan.clauses, &source, &schema, rows, &mut sink, &mut EvalScratch::default())?;
+    Ok(sink.labels(&plan.clauses, plan.default_label))
+}
 
-    // Which clause indices fired per batch slot. A row appearing in
-    // several slots fires identically in each: satisfaction depends only
-    // on the row, so the fan-out is a plain copy.
-    let mut fired_of: Vec<Vec<usize>> = vec![Vec::new(); rows.len()];
-    for (ci, clause) in plan.clauses.iter().enumerate() {
-        let initial = TargetSet::from_rows(dummy_pos, rows.iter().copied());
-        let mut state = ClauseState::new(db, dummy_pos, initial);
-        for lit in &clause.literals {
-            if state.targets.is_empty() {
-                break;
-            }
-            state.apply_literal_scratch(lit, stamp, path);
-        }
-        for r in state.targets.iter() {
-            for (slot, row) in rows.iter().enumerate() {
-                if *row == r {
-                    fired_of[slot].push(ci);
-                }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crossmine_core::CrossMine;
+    use crossmine_relational::fixtures::fig2_loan_account;
+    use crossmine_relational::{AttrId, DeltaBatch, Value};
+
+    fn plan_for(db: &Database) -> CompiledPlan {
+        let rows: Vec<Row> = db.relation(db.target().unwrap()).iter_rows().collect();
+        let model = CrossMine::default().fit(db, &rows).unwrap();
+        CompiledPlan::compile(&model, &db.schema).unwrap()
+    }
+
+    fn fig2_delta(db: &Database) -> DeltaBatch {
+        let loan = db.schema.rel_id("Loan").unwrap();
+        let account = db.schema.rel_id("Account").unwrap();
+        let mut batch = DeltaBatch::new();
+        // A new account, two new loans on it (one referencing the fresh
+        // account — the same-batch FK case), and a patched amount.
+        batch.insert(account, vec![Value::Key(500), Value::Cat(0), Value::Num(990101.0)]);
+        batch.insert_labeled(
+            loan,
+            vec![
+                Value::Key(6),
+                Value::Key(500),
+                Value::Num(800.0),
+                Value::Num(12.0),
+                Value::Num(70.0),
+            ],
+            crossmine_relational::ClassLabel::POS,
+        );
+        batch.insert_labeled(
+            loan,
+            vec![
+                Value::Key(7),
+                Value::Key(45),
+                Value::Num(9500.0),
+                Value::Num(24.0),
+                Value::Num(480.0),
+            ],
+            crossmine_relational::ClassLabel::NEG,
+        );
+        batch.update(loan, Row(0), AttrId(2), Value::Num(1500.0));
+        batch
+    }
+
+    #[test]
+    fn overlay_matches_materialized_merge_golden() {
+        let base = fig2_loan_account();
+        let plan = plan_for(&base);
+        let batch = fig2_delta(&base);
+        let delta = DeltaOverlay::build(&base, &batch).unwrap();
+
+        let mut merged = base.clone();
+        merged.apply_delta(&batch).unwrap();
+        let rows: Vec<Row> = (0..merged.num_targets() as u32).map(Row).collect();
+
+        let mut mscratch = ServeScratch::new();
+        let expected = evaluate_batch(&plan, &merged, &rows, &mut mscratch);
+        let mut oscratch = OverlayScratch::new();
+        let got = evaluate_batch_overlay(&plan, &base, &delta, &rows, &mut oscratch);
+        assert_eq!(got, expected);
+
+        // Scratch reuse across batches stays correct.
+        let again = evaluate_batch_overlay(&plan, &base, &delta, &rows, &mut oscratch);
+        assert_eq!(again, expected);
+    }
+
+    #[test]
+    fn overlay_traced_matches_materialized_merge() {
+        let base = fig2_loan_account();
+        let plan = plan_for(&base);
+        let batch = fig2_delta(&base);
+        let delta = DeltaOverlay::build(&base, &batch).unwrap();
+
+        let mut merged = base.clone();
+        merged.apply_delta(&batch).unwrap();
+        let rows: Vec<Row> = (0..merged.num_targets() as u32).map(Row).collect();
+
+        let mut mscratch = ServeScratch::new();
+        let expected = evaluate_batch_traced(&plan, &merged, &rows, &mut mscratch);
+        let mut oscratch = OverlayScratch::new();
+        let got = evaluate_batch_overlay_traced(&plan, &base, &delta, &rows, &mut oscratch);
+        assert_eq!(got.len(), expected.len());
+        for (g, e) in got.iter().zip(&expected) {
+            assert_eq!(g.row, e.row);
+            assert_eq!(g.label, e.label);
+            assert_eq!(g.default_used, e.default_used);
+            assert_eq!(g.fired.len(), e.fired.len());
+            for (gf, ef) in g.fired.iter().zip(&e.fired) {
+                assert_eq!(gf.clause_index, ef.clause_index);
+                assert_eq!(gf.label, ef.label);
             }
         }
     }
-    if obs.is_enabled() {
-        obs.add("serve.rows_explained", rows.len() as u64);
-        let stats = path.take_stats();
-        obs.add("propagation.passes", stats.passes);
-        obs.add("propagation.ids_propagated", stats.ids_propagated);
-        obs.add("propagation.csr_capacity_hits", stats.capacity_hits);
+
+    #[test]
+    fn empty_overlay_matches_plain_eval() {
+        let base = fig2_loan_account();
+        let plan = plan_for(&base);
+        let delta = DeltaOverlay::build(&base, &DeltaBatch::new()).unwrap();
+        let rows: Vec<Row> = (0..base.num_targets() as u32).map(Row).collect();
+        let mut mscratch = ServeScratch::new();
+        let expected = evaluate_batch(&plan, &base, &rows, &mut mscratch);
+        let mut oscratch = OverlayScratch::new();
+        let got = evaluate_batch_overlay(&plan, &base, &delta, &rows, &mut oscratch);
+        assert_eq!(got, expected);
     }
 
-    rows.iter()
-        .zip(fired_of)
-        .map(|(&row, fired_idx)| {
-            let fired: Vec<ClauseFire> = fired_idx
-                .iter()
-                .map(|&ci| compiled_clause_fire(db, ci, &plan.clauses[ci]))
-                .collect();
-            let label = fired.first().map_or(plan.default_label, |f| f.label);
-            RowExplanation { row, label, default_used: fired.is_empty(), fired }
-        })
-        .collect()
+    #[test]
+    #[should_panic(expected = "delta overlay was not built against this database snapshot")]
+    fn stale_overlay_panics() {
+        let mut base = fig2_loan_account();
+        let plan = plan_for(&base);
+        let delta = DeltaOverlay::build(&base, &DeltaBatch::new()).unwrap();
+        // Mutate the base after the overlay was validated against it.
+        let loan = base.schema.rel_id("Loan").unwrap();
+        base.set_value(loan, Row(0), AttrId(2), Value::Num(1.0));
+        let mut scratch = OverlayScratch::new();
+        let _ = evaluate_batch_overlay(&plan, &base, &delta, &[Row(0)], &mut scratch);
+    }
 }

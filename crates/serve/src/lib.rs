@@ -10,11 +10,12 @@
 //!   dictionary codes) so evaluation is panic-free and revalidation-free.
 //! * [`eval`] — the **batched evaluator**: scores N target rows with one
 //!   tuple-ID-propagation pass per clause through per-worker
-//!   [`ServeScratch`] buffers; byte-identical to
-//!   [`CrossMineModel::predict`](crossmine_core::CrossMineModel::predict).
-//! * [`eval_disk`] — the same evaluation with every tuple access going
-//!   through a [`DiskDatabase`](crossmine_storage::DiskDatabase) buffer
-//!   pool (paper §8).
+//!   [`ServeScratch`] buffers; core's single clause evaluator, so
+//!   byte-identical to
+//!   [`CrossMineModel::predict`](crossmine_core::CrossMineModel::predict),
+//!   over the base database, base + a delta overlay
+//!   ([`PredictionServer::apply_delta`]), or a
+//!   [`DiskDatabase`](crossmine_storage::DiskDatabase) (paper §8).
 //! * [`registry`] — **lock-free model hot-swap**: wait-free epoch-stamped
 //!   snapshots; a batch is always scored under exactly one model.
 //! * [`server`] — the **concurrent micro-batching server**: bounded
@@ -42,11 +43,6 @@
 //! * [`request`] — the unified submission surface: one
 //!   [`ServeRequest`] builder (rows, deadline, trace, shard hint)
 //!   replaces the per-combination `submit*` methods.
-//! * [`overlay`] — **incremental serving for mutable databases**: a
-//!   validated [`DeltaBatch`](crossmine_relational::DeltaBatch) installs
-//!   a side-CSR overlay merged during propagation
-//!   ([`PredictionServer::apply_delta`]), byte-identical to rebuilding
-//!   the database with the delta materialized — no recompile, no copy.
 //! * [`shard`] — **sharded, shared-nothing serving**: a [`ShardRouter`]
 //!   hash-partitions the target relation across N full server shards,
 //!   each with its own queue, workers, overlay slot, and registry slot,
@@ -86,10 +82,8 @@
 pub mod chaos;
 pub mod error;
 pub mod eval;
-pub mod eval_disk;
 pub mod metrics;
 pub mod net;
-pub mod overlay;
 pub mod plan;
 pub mod registry;
 pub mod request;
@@ -105,14 +99,13 @@ pub use crossmine_obs::{
     TraceStats, Tracer,
 };
 pub use error::ServeError;
-pub use eval::{evaluate_batch, evaluate_batch_traced, ServeScratch};
-pub use eval_disk::predict_disk;
+pub use eval::{
+    evaluate_batch, evaluate_batch_overlay, evaluate_batch_overlay_traced, evaluate_batch_traced,
+    predict_disk, OverlayScratch, ServeScratch,
+};
 pub use metrics::{Histogram, MetricsSnapshot, ServeMetrics};
 pub use net::{wire_status_for, ServeBackend};
-pub use overlay::{evaluate_batch_overlay, evaluate_batch_overlay_traced, OverlayScratch};
-#[allow(deprecated)]
-pub use plan::CompileError;
-pub use plan::{CompiledClause, CompiledPlan, PlanError, PlanStats};
+pub use plan::{CompiledPlan, PlanError, PlanStats};
 pub use registry::{ModelRegistry, ModelSnapshot};
 pub use request::ServeRequest;
 pub use server::{

@@ -11,6 +11,7 @@
 //! evaluate*: the batched evaluator never revalidates.
 
 use crossmine_core::classifier::CrossMineModel;
+use crossmine_core::clause::Clause;
 use crossmine_core::literal::{ComplexLiteral, ConstraintKind};
 use crossmine_relational::{AttrId, ClassLabel, DatabaseSchema, JoinGraph, RelId};
 
@@ -113,22 +114,6 @@ impl std::fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// Former name of [`PlanError`], kept for one release.
-#[deprecated(since = "0.2.0", note = "renamed to PlanError")]
-pub type CompileError = PlanError;
-
-/// One clause of a compiled plan: the validated literals plus the ranking
-/// metadata prediction needs.
-#[derive(Debug, Clone)]
-pub struct CompiledClause {
-    /// The class this clause predicts.
-    pub label: ClassLabel,
-    /// Laplace accuracy; clauses are evaluated most-accurate first.
-    pub accuracy: f64,
-    /// The validated literals, in application order.
-    pub literals: Vec<ComplexLiteral>,
-}
-
 /// Static statistics of a compiled plan, used for capacity planning and
 /// the `loadgen` report.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -171,7 +156,7 @@ impl std::fmt::Display for PlanStats {
 #[derive(Debug, Clone)]
 pub struct CompiledPlan {
     /// Validated clauses, sorted by accuracy descending (prediction order).
-    pub clauses: Vec<CompiledClause>,
+    pub clauses: Vec<Clause>,
     /// Predicted when no clause fires.
     pub default_label: ClassLabel,
     /// Distinct classes of the model.
@@ -208,11 +193,7 @@ impl CompiledPlan {
                 collect_stats(&mut stats, lit);
                 active[lit.constraint.rel.0] = true;
             }
-            clauses.push(CompiledClause {
-                label: clause.label,
-                accuracy: clause.accuracy,
-                literals: clause.literals.clone(),
-            });
+            clauses.push(clause.clone());
         }
         stats.numeric_thresholds.sort_by_key(|&(k, _)| k);
         stats.categorical_tests.sort_by_key(|&(k, _)| k);
@@ -348,7 +329,6 @@ fn push_threshold(acc: &mut Vec<((RelId, AttrId), Vec<f64>)>, key: (RelId, AttrI
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossmine_core::clause::Clause;
     use crossmine_core::literal::{AggOp, CmpOp, Constraint};
     use crossmine_relational::{AttrType, Attribute, JoinEdge, JoinKind, RelationSchema};
 

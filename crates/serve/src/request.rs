@@ -1,8 +1,7 @@
 //! The unified request-construction surface of the serving API.
 //!
-//! [`ServeRequest`] replaces the grown-by-accretion trio of entry points
-//! (`submit`, `submit_with_deadline`, `predict_within`) with one builder:
-//! rows first, then optional knobs, chainable in any order:
+//! [`ServeRequest`] is the one way to submit work: rows first, then
+//! optional knobs, chainable in any order:
 //!
 //! ```
 //! use std::time::Duration;

@@ -39,9 +39,10 @@
 //! **Mutable databases** ride a delta overlay:
 //! [`PredictionServer::apply_delta`] validates a
 //! [`DeltaBatch`](crossmine_relational::DeltaBatch) against the immutable
-//! base snapshot and installs a [`DeltaOverlay`] the workers merge during
-//! propagation — no recompile, no copy of the base, and batches already
-//! collected keep the overlay (or its absence) they started with.
+//! base snapshot and installs a [`DeltaOverlay`] the workers read through
+//! as one merged database — no recompile, no copy of the base, and
+//! batches already collected keep the overlay (or its absence) they
+//! started with.
 
 use std::collections::VecDeque;
 use std::net::SocketAddr;
@@ -59,10 +60,12 @@ use crossmine_core::explain::RowExplanation;
 
 use crate::chaos::{ChaosAction, ChaosConfig};
 use crate::error::ServeError;
-use crate::eval::{evaluate_batch, evaluate_batch_traced, ServeScratch};
+use crate::eval::{
+    evaluate_batch, evaluate_batch_overlay, evaluate_batch_overlay_traced, evaluate_batch_traced,
+    ServeScratch,
+};
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::net::ServeBackend;
-use crate::overlay::{evaluate_batch_overlay, evaluate_batch_overlay_traced, OverlayScratch};
 use crate::registry::ModelRegistry;
 use crate::request::ServeRequest;
 use crate::shard::ShardConfig;
@@ -738,25 +741,6 @@ impl PredictionServer {
         Ok(handles)
     }
 
-    /// Enqueues one row for scoring without a deadline.
-    #[deprecated(since = "0.2.0", note = "use `serve(ServeRequest::row(row))` instead")]
-    pub fn submit(&self, row: Row) -> Result<PredictionHandle, ServeError> {
-        self.admitter.admit(row, None)
-    }
-
-    /// Enqueues one row that must start scoring within `deadline` of now.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `serve(ServeRequest::row(row).deadline(deadline))` instead"
-    )]
-    pub fn submit_with_deadline(
-        &self,
-        row: Row,
-        deadline: Duration,
-    ) -> Result<PredictionHandle, ServeError> {
-        self.admitter.admit(row, Some(Instant::now() + deadline))
-    }
-
     /// Synchronous convenience: admit one row and wait for the prediction.
     ///
     /// # Errors
@@ -767,21 +751,12 @@ impl PredictionServer {
         self.admitter.admit(row, None)?.wait()
     }
 
-    /// Synchronous convenience with a deadline.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `serve(ServeRequest::row(row).deadline(deadline))` and wait on the handle"
-    )]
-    pub fn predict_within(&self, row: Row, deadline: Duration) -> Result<Prediction, ServeError> {
-        self.admitter.admit(row, Some(Instant::now() + deadline))?.wait()
-    }
-
     /// Validates `batch` against the base snapshot (merged with every
     /// previously-accepted delta) and atomically installs the resulting
     /// overlay: batches collected after this call score against base +
     /// all deltas, batches already in flight keep what they started with.
-    /// No plan recompile, no base copy — overlay rows ride a side-CSR
-    /// merged during propagation, and the result is byte-identical to
+    /// No plan recompile, no base copy — the workers read base + overlay
+    /// as one merged view, and the result is byte-identical to
     /// rebuilding the database with the rows materialized (the overlay
     /// parity suite pins this).
     ///
@@ -857,15 +832,12 @@ impl PredictionServer {
         // Same overlay discipline as the batch workers: provenance must
         // see exactly the data the predictions were scored against,
         // including rows/patches a delta added.
+        let mut scratch = ServeScratch::with_obs(self.config.obs.clone());
         let explanations = match read_overlay(&self.overlay) {
             Some(delta) => {
-                let mut scratch = OverlayScratch::with_obs(self.config.obs.clone());
                 evaluate_batch_overlay_traced(&snap.plan, &self.db, &delta, rows, &mut scratch)
             }
-            None => {
-                let mut scratch = ServeScratch::with_obs(self.config.obs.clone());
-                evaluate_batch_traced(&snap.plan, &self.db, rows, &mut scratch)
-            }
+            None => evaluate_batch_traced(&snap.plan, &self.db, rows, &mut scratch),
         };
         self.config.obs.add("serve.predictions_explained", explanations.len() as u64);
         Ok(explanations
@@ -949,7 +921,7 @@ impl PredictionServer {
     }
 
     /// Stops admission without consuming the server: subsequent
-    /// [`submit`](Self::submit) calls get [`ServeError::ShuttingDown`],
+    /// [`serve`](Self::serve) calls get [`ServeError::ShuttingDown`],
     /// while already-admitted requests are still drained and answered.
     /// Call [`shutdown`](Self::shutdown) afterwards (or drop the server)
     /// to join the workers; use this first when other threads still hold
@@ -997,8 +969,10 @@ fn worker_loop(
     // sample of a worker is attributed at least to `serve.worker`, with
     // the wait/batch/eval frames below refining where the time went.
     let _worker_frame = config.profiler.enter("serve.worker");
+    // One scratch serves base and overlay batches alike: it re-sizes only
+    // when the target cardinality changes, i.e. when an overlay adding
+    // target rows lands.
     let mut scratch = ServeScratch::with_obs(config.obs.clone());
-    let mut overlay_scratch = OverlayScratch::with_obs(config.obs.clone());
     // Cache the histogram handle once per worker so the per-request record
     // is a couple of relaxed atomic adds, never a registry lookup.
     let queue_wait_us = config.obs.histogram("serve.queue_wait_us");
@@ -1125,7 +1099,7 @@ fn worker_loop(
                 panic!("chaos: injected worker panic");
             }
             match &delta {
-                Some(d) => evaluate_batch_overlay(&snap.plan, db, d, &rows, &mut overlay_scratch),
+                Some(d) => evaluate_batch_overlay(&snap.plan, db, d, &rows, &mut scratch),
                 None => evaluate_batch(&snap.plan, db, &rows, &mut scratch),
             }
         }));
@@ -1202,7 +1176,6 @@ fn worker_loop(
                     metrics.errors.fetch_add(1, Ordering::Relaxed);
                 }
                 scratch = ServeScratch::with_obs(config.obs.clone());
-                overlay_scratch = OverlayScratch::with_obs(config.obs.clone());
             }
         }
     }

@@ -228,21 +228,3 @@ fn dropped_handles_do_not_wedge_the_server() {
     assert_eq!(report.requests, 2);
     assert_eq!(report.errors, 1, "exactly the abandoned reply");
 }
-
-/// The deprecated pre-`ServeRequest` aliases stay thin wrappers over the
-/// same admission path: still correct, still drained, still counted.
-#[test]
-#[allow(deprecated)]
-fn deprecated_submit_aliases_still_work() {
-    let f = fixture();
-    let server = start(f, ServerConfig::default());
-    let h1 = server.submit(f.rows[0]).unwrap();
-    let h2 = server.submit_with_deadline(f.rows[1], Duration::from_secs(5)).unwrap();
-    let p3 = server.predict_within(f.rows[2], Duration::from_secs(5)).unwrap();
-    assert_eq!(h1.wait().unwrap().label, f.expected[0]);
-    assert_eq!(h2.wait().unwrap().label, f.expected[1]);
-    assert_eq!(p3.label, f.expected[2]);
-    let report = server.shutdown();
-    assert_eq!(report.requests, 3);
-    assert_eq!(report.errors, 0);
-}

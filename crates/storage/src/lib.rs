@@ -12,15 +12,16 @@
 //!   hit/miss/eviction statistics;
 //! * [`store`] — [`DiskDatabase`]: a columnar multi-relational database
 //!   spilled to one page file, all access through the pool;
-//! * [`disk_ops`] — the two operations §8 analyses: tuple-ID propagation
-//!   with one in-memory side (§8.1) and one-scan categorical literal
+//! * [`disk_ops`] — the two operations §8 analyses: [`DiskSource`], the
+//!   tuple source core's propagation and clause evaluator run over, with
+//!   one in-memory side per join (§8.1), and one-scan categorical literal
 //!   counting (§8.2) — both tested to agree exactly with their in-memory
 //!   counterparts under pathologically small buffer pools.
 //!
 //! ```
-//! use crossmine_storage::{DiskDatabase, propagate_disk};
+//! use crossmine_storage::{DiskDatabase, DiskSource};
 //! use crossmine_core::idset::TargetSet;
-//! use crossmine_core::propagation::ClauseState;
+//! use crossmine_core::propagation::{try_propagate, ClauseState};
 //! use crossmine_relational::{ClassLabel, JoinGraph};
 //!
 //! let db = crossmine_synth::generate(&crossmine_synth::GenParams {
@@ -35,7 +36,8 @@
 //! let target = db.target().unwrap();
 //! let edge = *graph.edges_from(target).next().unwrap();
 //!
-//! let on_disk = propagate_disk(&mut disk, state.annotation(target).unwrap(), &edge).unwrap();
+//! let source = DiskSource::new(&mut disk);
+//! let on_disk = try_propagate(&source, state.annotation(target).unwrap(), &edge).unwrap();
 //! let in_memory = state.propagate_edge(&edge);
 //! assert_eq!(on_disk.idsets, in_memory.idsets);
 //! # std::fs::remove_file(&path).ok();
@@ -50,7 +52,7 @@ pub mod pager;
 pub mod store;
 
 pub use buffer::{BufferPool, BufferStats};
-pub use disk_ops::{categorical_counts_disk, propagate_disk};
+pub use disk_ops::{categorical_counts_disk, DiskSource};
 pub use page::{Page, CELLS_PER_PAGE, PAGE_SIZE};
 pub use pager::{PageId, Pager, StorageError};
 pub use store::{DiskColumn, DiskDatabase};

@@ -4,10 +4,10 @@
 //! under a buffer pool far smaller than the data.
 
 use crossmine_core::idset::TargetSet;
-use crossmine_core::propagation::{propagate, ClauseState};
+use crossmine_core::propagation::{propagate, try_propagate, ClauseState};
 use crossmine_datasets::{generate_financial, FinancialConfig};
 use crossmine_relational::{ClassLabel, JoinGraph};
-use crossmine_storage::{propagate_disk, DiskDatabase, PAGE_SIZE};
+use crossmine_storage::{DiskDatabase, DiskSource, PAGE_SIZE};
 
 #[test]
 fn financial_database_spills_and_propagates() {
@@ -38,18 +38,20 @@ fn financial_database_spills_and_propagates() {
         .iter()
         .find(|e| e.from == loan && db.schema.relation(e.to).name == "Account")
         .expect("Loan -> Account edge");
+    let source = DiskSource::new(&mut disk);
     let mem1 = state.propagate_edge(&first);
-    let dsk1 = propagate_disk(&mut disk, state.annotation(loan).unwrap(), &first).unwrap();
+    let dsk1 = try_propagate(&source, state.annotation(loan).unwrap(), &first).unwrap();
     assert_eq!(mem1.idsets, dsk1.idsets, "Loan -> Account");
 
     let mut hops = 0;
     for edge2 in graph.edges_from(first.to) {
         let mem2 = propagate(&db, &mem1, edge2);
-        let dsk2 = propagate_disk(&mut disk, &dsk1, edge2).unwrap();
+        let dsk2 = try_propagate(&source, &dsk1, edge2).unwrap();
         assert_eq!(mem2.idsets, dsk2.idsets, "Account -> {}", db.schema.relation(edge2.to).name);
         hops += 1;
     }
     assert!(hops >= 3, "Account should reach several relations, got {hops}");
+    drop(source);
     assert!(disk.resident_pages() <= pool_pages);
     assert!(disk.stats().evictions > 0, "the pool must have been under pressure");
     std::fs::remove_file(&path).ok();

@@ -6,8 +6,8 @@
 //! Run with: `cargo run --release --example disk_resident`
 
 use crossmine::core::idset::{Stamp, TargetSet};
-use crossmine::core::propagation::ClauseState;
-use crossmine::storage::{categorical_counts_disk, propagate_disk, DiskDatabase};
+use crossmine::core::propagation::{try_propagate, ClauseState};
+use crossmine::storage::{categorical_counts_disk, DiskDatabase, DiskSource};
 use crossmine::{ClassLabel, GenParams, JoinGraph};
 
 fn main() {
@@ -43,8 +43,9 @@ fn main() {
     let mut checked = 0;
     for edge in graph.edges_from(target) {
         let mem = state.propagate_edge(edge);
-        let dsk = propagate_disk(&mut disk, state.annotation(target).unwrap(), edge)
-            .expect("disk propagation");
+        let dsk =
+            try_propagate(&DiskSource::new(&mut disk), state.annotation(target).unwrap(), edge)
+                .expect("disk propagation");
         assert_eq!(mem.idsets, dsk.idsets, "disk propagation must equal in-memory");
         checked += 1;
 
