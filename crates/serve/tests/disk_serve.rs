@@ -5,7 +5,7 @@
 use crossmine_core::classifier::CrossMine;
 use crossmine_relational::Row;
 use crossmine_serve::{predict_disk, CompiledPlan};
-use crossmine_storage::DiskDatabase;
+use crossmine_storage::{DiskDatabase, StorageError};
 use crossmine_synth::{generate, GenParams};
 
 fn tmp(tag: &str) -> std::path::PathBuf {
@@ -67,5 +67,31 @@ fn disk_prediction_small_batches_and_tiny_pool() {
     assert_eq!(got, expected);
     assert!(disk.resident_pages() <= 2);
     assert!(disk.stats().evictions > 0, "the tiny pool must have evicted");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn disk_read_errors_surface_as_errors() {
+    let db = generate(&GenParams {
+        num_relations: 4,
+        expected_tuples: 80,
+        min_tuples: 25,
+        seed: 7,
+        ..Default::default()
+    });
+    let rows: Vec<Row> = db.relation(db.target().unwrap()).iter_rows().collect();
+    let model = CrossMine::default().fit(&db, &rows).unwrap();
+    assert!(model.num_clauses() >= 1);
+    let plan = CompiledPlan::compile(&model, &db.schema).unwrap();
+
+    let path = tmp("truncated");
+    // One frame: nearly every read goes to the file, which is then cut
+    // short under the open database.
+    let mut disk = DiskDatabase::spill(&db, &path, 1).unwrap();
+    std::fs::OpenOptions::new().write(true).open(&path).unwrap().set_len(0).unwrap();
+    let err = predict_disk(&plan, &mut disk, &rows).unwrap_err();
+    assert!(matches!(err, StorageError::Io(_)), "{err}");
+    // An empty batch reads nothing, so it still succeeds.
+    assert!(predict_disk(&plan, &mut disk, &[]).unwrap().is_empty());
     std::fs::remove_file(&path).ok();
 }
