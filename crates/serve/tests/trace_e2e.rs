@@ -158,6 +158,11 @@ fn wire_request_yields_the_full_causal_chain_as_one_tree() {
             trace.spans
         );
     }
+    // `net.write` covers the write itself: it ends after it starts, and
+    // no later than the request it closes.
+    let write = trace.spans.iter().find(|s| s.name == "net.write").expect("write span");
+    assert!(write.end_ns > write.start_ns, "zero-length net.write in {:?}", trace.spans);
+    assert!(write.end_ns <= trace.duration_ns, "net.write outlives its request: {trace:?}");
 
     // The same trace is retrievable over HTTP, in both renderings.
     let telemetry = server.telemetry_addr().expect("telemetry bound");
