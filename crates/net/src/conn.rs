@@ -266,9 +266,8 @@ impl Connection {
     fn settle_watches(&mut self, now: Instant) {
         while matches!(self.watches.front(), Some(w) if w.target <= self.written_total) {
             let Some(w) = self.watches.pop_front() else { break };
-            // The caller's `now` is its sweep timestamp, taken before this
-            // reply was encoded within the same sweep — clamp so the
-            // `net.write` span never ends before it starts.
+            // Clamp so the `net.write` span never ends before it starts,
+            // whatever instant the caller passes.
             let end = now.max(w.encode_at);
             w.trace.add_span("net.write", ROOT_SPAN, w.encode_at, end);
             w.trace.complete();

@@ -270,7 +270,7 @@ fn poll_loop<B: Backend>(
         // its exemplars in the same sweep.
         for entry in conns.iter_mut().flatten() {
             mirror_reply_counts(entry, &metrics);
-            progress |= service_writes(entry, &metrics, &obs, &config.profiler, now);
+            progress |= service_writes(entry, &metrics, &obs, &config.profiler);
             entry.conn.drain_finished(&mut finished);
             for (trace_id, wire_us) in finished.drain(..) {
                 obs.record(STAGE_REQUEST_US, wire_us);
@@ -492,7 +492,6 @@ fn service_writes<B: Backend>(
     metrics: &NetMetrics,
     obs: &ObsHandle,
     profiler: &Profiler,
-    now: Instant,
 ) -> bool {
     if entry.conn.write_slice().is_empty() {
         return false;
@@ -508,7 +507,9 @@ fn service_writes<B: Backend>(
         match entry.stream.write(pending) {
             Ok(0) => break,
             Ok(n) => {
-                entry.conn.advance_write(n, now);
+                // Stamp the instant the write returned, not the sweep's
+                // start: the reply may have been encoded after that.
+                entry.conn.advance_write(n, Instant::now());
                 total += n;
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -517,7 +518,7 @@ fn service_writes<B: Backend>(
                 // Peer vanished mid-write; nothing more to deliver.
                 entry.conn.mark_peer_closed();
                 let len = entry.conn.write_slice().len();
-                entry.conn.advance_write(len, now);
+                entry.conn.advance_write(len, Instant::now());
                 break;
             }
         }
