@@ -472,7 +472,7 @@ pub fn run_suite(config: &SuiteConfig, mut progress: impl FnMut(&str)) -> BenchR
     // on at production defaults (97 Hz wall sampler, allocation tracking,
     // lock-wait timers). Pinned in the baseline so profiler overhead
     // regressions gate like any other slowdown; the enabled-vs-disabled
-    // <5% budget itself is proven by the `profile_overhead` binary.
+    // <5% budget itself is proven by the `overhead` binary.
     let want_prof_p50 = wants(config, "serve.latency_p50.profiled");
     let want_prof_p99 = wants(config, "serve.latency_p99.profiled");
     if want_prof_p50 || want_prof_p99 {

@@ -179,13 +179,6 @@ impl<'a> ClauseLearner<'a> {
     ) -> Self {
         let is_pos: Vec<bool> = db.labels().iter().map(|&l| l == label).collect();
         let all_targets = TargetSet::all(&is_pos);
-        // Contention attribution for the count store: only wired when the
-        // params carry an enabled profiler, so the common no-profiler path
-        // never pins the store's once-settable timer slot.
-        let profiler = params.obs.profiler();
-        if profiler.is_enabled() {
-            params.stats.set_lock_timer(profiler.lock_timer("stats_cache"));
-        }
         let identity =
             (params.stats_cache_budget_bytes > 0).then(|| db.target().ok()).flatten().map(|t| {
                 let n = db.relation(t).len() as u32;

@@ -42,9 +42,8 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use crossmine_obs::LockTimer;
 use crossmine_relational::{AttrId, Database, JoinEdge, RelId, Row, Value};
 
 use crate::idset::TargetSet;
@@ -423,12 +422,6 @@ impl StoreInner {
 #[derive(Clone, Default)]
 pub struct StatsCache {
     inner: Arc<Mutex<StoreInner>>,
-    /// Contention attribution: when a profiler is wired (see
-    /// [`set_lock_timer`](Self::set_lock_timer)), every acquisition of the
-    /// store mutex is timed into the `stats_cache` wait histogram. Shared
-    /// across clones like the store itself; empty costs one branch per
-    /// lock.
-    timer: Arc<OnceLock<LockTimer>>,
 }
 
 impl std::fmt::Debug for StatsCache {
@@ -450,19 +443,8 @@ impl StatsCache {
         Self::default()
     }
 
-    /// Wires contention attribution: every subsequent lock of the store
-    /// mutex is timed into `timer`'s wait histogram. First set wins (a
-    /// store shared by several learners keeps one consistent series).
-    pub fn set_lock_timer(&self, timer: LockTimer) {
-        let _ = self.timer.set(timer);
-    }
-
     fn lock_inner(&self) -> MutexGuard<'_, StoreInner> {
-        let acquire = || self.inner.lock().expect("stats cache poisoned");
-        match self.timer.get() {
-            Some(t) => t.time(acquire),
-            None => acquire(),
-        }
+        self.inner.lock().expect("stats cache poisoned")
     }
 
     /// The single locked pass of one search round: validates the database

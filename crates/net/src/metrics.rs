@@ -3,7 +3,6 @@
 //! existing `/metrics` endpoint exports them as `crossmine_net_*`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 use crossmine_obs::{Exemplars, ObsHandle};
 
@@ -122,28 +121,6 @@ pub struct NetCountersSnapshot {
     pub bytes_written: u64,
 }
 
-/// Records elapsed microseconds into an obs histogram when dropped —
-/// wraps the accept/read/decode/write stages of the poll loop.
-pub struct StageTimer<'a> {
-    obs: &'a ObsHandle,
-    name: &'static str,
-    start: Instant,
-}
-
-impl<'a> StageTimer<'a> {
-    /// Starts timing one stage.
-    pub fn start(obs: &'a ObsHandle, name: &'static str) -> Self {
-        StageTimer { obs, name, start: Instant::now() }
-    }
-}
-
-impl Drop for StageTimer<'_> {
-    fn drop(&mut self) {
-        let us = self.start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-        self.obs.record(self.name, us);
-    }
-}
-
 /// Histogram names the poll loop records (microseconds). Exported as
 /// `crossmine_net_<stage>_us` by the telemetry endpoint.
 pub const STAGE_ACCEPT_US: &str = "net.accept_us";
@@ -212,15 +189,5 @@ mod tests {
         let reg = obs.registry().expect("enabled");
         let gauges: std::collections::HashMap<_, _> = reg.gauge_values().into_iter().collect();
         assert_eq!(gauges.get("net.sweep_backoff_us"), Some(&640));
-    }
-
-    #[test]
-    fn stage_timer_records_on_drop() {
-        let obs = ObsHandle::enabled();
-        {
-            let _t = StageTimer::start(&obs, STAGE_DECODE_US);
-        }
-        let h = obs.histogram(STAGE_DECODE_US).expect("registered");
-        assert_eq!(h.count(), 1);
     }
 }

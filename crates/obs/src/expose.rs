@@ -300,8 +300,7 @@ mod tests {
         let registry = obs.registry().expect("enabled handle has a registry");
         let before = render_registry(registry);
         // A full traced lifecycle: spans, attrs, an error, completion
-        // (which runs the tail sampler), plus a no-op tracer for the
-        // compile-out path.
+        // (which runs the tail sampler), plus a no-op tracer.
         for tracer in [Tracer::with_config(TraceConfig::default()), Tracer::noop()] {
             let ctx = tracer.start(7);
             let t = std::time::Instant::now();

@@ -6,30 +6,25 @@
 //! queue-wait histograms) — so the efficiency the paper claims (Figures
 //! 9–12) is measurable on every run instead of asserted.
 //!
-//! Three pieces:
+//! Three pillars, one path each:
 //!
-//! * [`trace`] — a span/event tracing core: [`ObsHandle::span`] returns an
-//!   RAII guard with monotonic timing; a thread-safe
-//!   [`Recorder`](trace::Recorder) streams structured events to pluggable
-//!   sinks (in-memory [`RingSink`](trace::RingSink), line-oriented
-//!   [`JsonlSink`](trace::JsonlSink), [`NoopSink`](trace::NoopSink)).
-//! * [`metrics`] — counters, gauges, and the log₂
-//!   [`Histogram`](metrics::Histogram) (grown out of `crossmine-serve`,
-//!   which now re-exports it), interned by name in a
-//!   [`MetricsRegistry`](metrics::MetricsRegistry).
-//! * [`report`] — [`TrainReport`]/[`ServeReport`] text rendering (span
-//!   table with count/total/p50/p99, counters, histograms) plus JSONL
-//!   export for reproducible experiment artifacts.
-//! * [`expose`] — Prometheus text exposition ([`render_registry`],
-//!   [`PromWriter`]): the same registry rendered as `_total` counters,
-//!   gauges, and cumulative `le`-labelled histogram buckets for a
-//!   `GET /metrics` scrape endpoint (wired up by `crossmine-serve`).
+//! * [`metrics`] — counters, gauges, and the log₂ [`Histogram`] (grown
+//!   out of `crossmine-serve`, which now re-exports it), interned by name
+//!   in a [`MetricsRegistry`]. [`ObsHandle::span`] returns an RAII guard
+//!   that times a scope into the registry's span histograms. Rendered by
+//!   [`report`] ([`TrainReport`]/[`ServeReport`] text plus JSONL export
+//!   for reproducible experiment artifacts) and by [`expose`] (Prometheus
+//!   text exposition — [`render_registry`], [`PromWriter`] — for the
+//!   `GET /metrics` scrape endpoint wired up by `crossmine-serve`).
 //! * [`tracectx`] — per-request causal tracing: a [`TraceCtx`] born at
 //!   the wire collects a parent-linked span tree across every serving
 //!   layer, a [`Tracer`] tail-samples completed traces (every error plus
 //!   the slowest K per window) into a bounded ring for the `/trace`
 //!   endpoint, and [`Exemplars`] join histogram buckets to stored
 //!   traces.
+//! * [`profile`] — continuous profiling: a [`Profiler`] samples
+//!   per-thread span stacks into folded stacks and flamegraphs, charges
+//!   allocations to the innermost span, and times lock waits.
 //!
 //! ## Cost model
 //!
@@ -38,10 +33,7 @@
 //! is one branch on an `Option` discriminant, takes no clock reading, and
 //! performs **zero allocation** (asserted by a counting-allocator test).
 //! [`ObsHandle::enabled`] aggregates span timings into lock-free
-//! histograms without emitting events; sink-backed handles additionally
-//! stream every event. The [`span!`]/[`trace!`] macros compile to nothing
-//! under the `compile-out` feature for builds that want the branch gone
-//! too.
+//! histograms.
 //!
 //! ```
 //! use crossmine_obs::{ObsHandle, TrainReport};
@@ -58,18 +50,15 @@
 #![warn(missing_docs)]
 
 pub mod expose;
-pub mod jsonl;
 pub mod metrics;
 pub mod profile;
 pub mod report;
-pub mod trace;
 pub mod tracectx;
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
-use trace::{pop_depth, push_depth, EventKind, Recorder, RingSink, Sink};
 
 pub use expose::{render_registry, PromWriter};
 pub use profile::{
@@ -77,43 +66,23 @@ pub use profile::{
     ProfileGuard, ProfileStats, ProfiledAllocator, Profiler,
 };
 pub use report::{Report, ServeReport, TrainReport};
-pub use trace::{Event, FieldValue};
 pub use tracectx::{
-    CompletedTrace, Exemplars, SpanId, SpanRec, StoredTrace, TraceConfig, TraceCtx, TraceId,
-    TraceStats, Tracer, ROOT_SPAN,
+    CompletedTrace, Exemplars, FieldValue, SpanId, SpanRec, StoredTrace, TraceConfig, TraceCtx,
+    TraceId, TraceStats, Tracer, ROOT_SPAN,
 };
 
-/// Everything one enabled handle owns; shared by all clones.
-#[derive(Debug)]
-struct ObsInner {
-    registry: MetricsRegistry,
-    recorder: Recorder,
-    /// Whether span enter/exit and `trace!` points become sink events (in
-    /// addition to the always-on aggregated histograms).
-    events: bool,
-    /// When enabled, every span additionally publishes a frame to this
-    /// thread's profiling slot ([`profile::Profiler`]), so instrumented
-    /// code shows up in wall profiles without separate annotations.
-    profiler: profile::Profiler,
-}
-
-/// A cheaply cloneable handle to one observability session — or a no-op.
+/// A cheaply cloneable handle to one metrics session — or a no-op.
 ///
 /// The no-op handle (also the [`Default`]) is what every
 /// `CrossMineParams`/`ServerConfig` carries unless the caller opts in, so
 /// instrumented code paths are free in ordinary runs. All methods are safe
 /// to call from any thread.
 #[derive(Clone, Default)]
-pub struct ObsHandle(Option<Arc<ObsInner>>);
+pub struct ObsHandle(Option<Arc<MetricsRegistry>>);
 
 impl std::fmt::Debug for ObsHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.0 {
-            None => f.write_str("ObsHandle(noop)"),
-            Some(inner) => {
-                write!(f, "ObsHandle(enabled, events: {})", inner.events)
-            }
-        }
+        f.write_str(if self.is_enabled() { "ObsHandle(enabled)" } else { "ObsHandle(noop)" })
     }
 }
 
@@ -124,41 +93,9 @@ impl ObsHandle {
     }
 
     /// An aggregating handle: span timings, counters, gauges, and
-    /// histograms accumulate lock-free; no events are emitted. This is the
-    /// lowest-overhead *enabled* mode and what `--report` uses.
+    /// histograms accumulate lock-free. This is what `--report` uses.
     pub fn enabled() -> Self {
-        Self::enabled_with_profiler(profile::Profiler::noop())
-    }
-
-    /// [`enabled`](Self::enabled) plus continuous profiling: every span
-    /// this handle starts also publishes a frame to the calling thread's
-    /// [`profile::Profiler`] slot, so the learner's existing `span!`
-    /// instrumentation shows up in wall profiles with no extra hooks.
-    pub fn enabled_with_profiler(profiler: profile::Profiler) -> Self {
-        ObsHandle(Some(Arc::new(ObsInner {
-            registry: MetricsRegistry::new(),
-            recorder: Recorder::new(Arc::new(trace::NoopSink)),
-            events: false,
-            profiler,
-        })))
-    }
-
-    /// An event-streaming handle: everything `enabled` does, plus every
-    /// span enter/exit and [`trace!`] point goes to `sink`.
-    pub fn with_sink(sink: Arc<dyn Sink>) -> Self {
-        ObsHandle(Some(Arc::new(ObsInner {
-            registry: MetricsRegistry::new(),
-            recorder: Recorder::new(sink),
-            events: true,
-            profiler: profile::Profiler::noop(),
-        })))
-    }
-
-    /// An event-streaming handle over an in-memory ring of `capacity`
-    /// events; returns the ring so callers can drain it.
-    pub fn with_ring(capacity: usize) -> (Self, Arc<RingSink>) {
-        let ring = Arc::new(RingSink::new(capacity));
-        (Self::with_sink(Arc::clone(&ring) as Arc<dyn Sink>), ring)
+        ObsHandle(Some(Arc::new(MetricsRegistry::new())))
     }
 
     /// Whether this handle records anything.
@@ -169,105 +106,58 @@ impl ObsHandle {
 
     /// The metrics registry, when enabled.
     pub fn registry(&self) -> Option<&MetricsRegistry> {
-        self.0.as_deref().map(|i| &i.registry)
-    }
-
-    /// The profiler this handle publishes spans to — the noop profiler
-    /// on plain or disabled handles. Lets downstream layers (e.g. the
-    /// learner's count store) register lock timers against the same
-    /// profiling session.
-    pub fn profiler(&self) -> profile::Profiler {
-        self.0.as_deref().map(|i| i.profiler.clone()).unwrap_or_default()
+        self.0.as_deref()
     }
 
     /// Starts a span named `name`; the returned guard records its duration
-    /// into the span histogram (and emits enter/exit events on
-    /// event-streaming handles) when dropped.
+    /// into the span histogram when dropped.
     #[inline]
     pub fn span(&self, name: &'static str) -> SpanGuard<'_> {
-        self.span_with(name, &[])
-    }
-
-    /// [`span`](Self::span) with structured fields attached to the enter
-    /// event (fields are dropped on aggregate-only handles, which emit no
-    /// events).
-    #[inline]
-    pub fn span_with(
-        &self,
-        name: &'static str,
-        fields: &[(&'static str, FieldValue)],
-    ) -> SpanGuard<'_> {
-        match &self.0 {
-            None => SpanGuard { inner: None, profile: profile::ProfileGuard::disabled() },
-            Some(inner) => {
-                if inner.events {
-                    inner.recorder.emit(EventKind::Enter, name, None, fields);
-                }
-                let depth = push_depth();
-                SpanGuard {
-                    inner: Some(ActiveSpan { obs: inner, name, start: Instant::now(), depth }),
-                    profile: inner.profiler.enter(name),
-                }
-            }
-        }
-    }
-
-    /// Emits one instant event (only on event-streaming handles) and
-    /// counts it under `name` in the registry.
-    pub fn event(&self, name: &'static str, fields: &[(&'static str, FieldValue)]) {
-        if let Some(inner) = &self.0 {
-            if inner.events {
-                inner.recorder.emit(EventKind::Instant, name, None, fields);
-            }
-            inner.registry.counter(name).add(1);
-        }
+        SpanGuard(self.registry().map(|registry| ActiveSpan {
+            registry,
+            name,
+            start: Instant::now(),
+        }))
     }
 
     /// Adds `v` to the counter named `name`.
     #[inline]
     pub fn add(&self, name: &'static str, v: u64) {
-        if let Some(inner) = &self.0 {
-            inner.registry.counter(name).add(v);
+        if let Some(registry) = self.registry() {
+            registry.counter(name).add(v);
         }
     }
 
     /// Sets the gauge named `name` to `v`.
     #[inline]
     pub fn gauge_set(&self, name: &'static str, v: i64) {
-        if let Some(inner) = &self.0 {
-            inner.registry.gauge(name).set(v);
+        if let Some(registry) = self.registry() {
+            registry.gauge(name).set(v);
         }
     }
 
     /// Records `v` into the value histogram named `name`.
     #[inline]
     pub fn record(&self, name: &'static str, v: u64) {
-        if let Some(inner) = &self.0 {
-            inner.registry.histogram(name).record(v);
+        if let Some(registry) = self.registry() {
+            registry.histogram(name).record(v);
         }
     }
 
     /// The counter named `name`, for hot paths that want to skip the
     /// per-call name lookup. `None` on a no-op handle.
     pub fn counter(&self, name: &'static str) -> Option<Arc<Counter>> {
-        self.0.as_deref().map(|i| i.registry.counter(name))
+        self.registry().map(|r| r.counter(name))
     }
 
     /// The gauge named `name` (see [`counter`](Self::counter)).
     pub fn gauge(&self, name: &'static str) -> Option<Arc<Gauge>> {
-        self.0.as_deref().map(|i| i.registry.gauge(name))
+        self.registry().map(|r| r.gauge(name))
     }
 
     /// The value histogram named `name` (see [`counter`](Self::counter)).
     pub fn histogram(&self, name: &'static str) -> Option<Arc<Histogram>> {
-        self.0.as_deref().map(|i| i.registry.histogram(name))
-    }
-
-    /// Flushes the event sink (meaningful for [`JsonlSink`](trace::JsonlSink)).
-    pub fn flush(&self) {
-        if let Some(inner) = &self.0 {
-            inner.recorder.flush();
-        }
+        self.registry().map(|r| r.histogram(name))
     }
 
     /// Writes the registry's metrics as JSONL (no-op handles write
@@ -281,98 +171,35 @@ impl ObsHandle {
 }
 
 struct ActiveSpan<'a> {
-    obs: &'a ObsInner,
+    registry: &'a MetricsRegistry,
     name: &'static str,
     start: Instant,
-    depth: u16,
 }
 
 /// RAII guard returned by [`ObsHandle::span`]: on drop, records the span's
-/// duration (nanoseconds) into the handle's span histogram and restores
-/// the thread's nesting depth. On profiling handles it also carries the
-/// published profile frame, popped on drop. The disabled guard does
-/// nothing.
-pub struct SpanGuard<'a> {
-    inner: Option<ActiveSpan<'a>>,
-    /// The frame published to this thread's profiling slot (disabled on
-    /// non-profiling handles); dropped — popped — with the guard.
-    profile: profile::ProfileGuard,
-}
+/// duration (nanoseconds) into the handle's span histogram. The disabled
+/// guard does nothing.
+pub struct SpanGuard<'a>(Option<ActiveSpan<'a>>);
 
 impl SpanGuard<'_> {
-    /// A guard that records nothing (what [`span!`] expands to under the
-    /// `compile-out` feature).
+    /// A guard that records nothing, for scopes timed only conditionally.
     pub fn disabled() -> SpanGuard<'static> {
-        SpanGuard { inner: None, profile: profile::ProfileGuard::disabled() }
+        SpanGuard(None)
     }
 
-    /// Whether this guard will record on drop — into the span histogram,
-    /// the profiling slot, or both.
+    /// Whether this guard will record on drop.
     pub fn is_recording(&self) -> bool {
-        self.inner.is_some() || self.profile.is_recording()
+        self.0.is_some()
     }
 }
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        if let Some(span) = self.inner.take() {
+        if let Some(span) = self.0.take() {
             let ns = span.start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-            pop_depth(span.depth);
-            span.obs.registry.span_histogram(span.name).record(ns);
-            if span.obs.events {
-                span.obs.recorder.emit(EventKind::Exit, span.name, Some(ns), &[]);
-            }
+            span.registry.span_histogram(span.name).record(ns);
         }
     }
-}
-
-/// Starts a span on an [`ObsHandle`]; expands to a disabled guard under
-/// the `compile-out` feature. Bind the result (`let _span = span!(…)`) so
-/// the guard lives to the end of the scope being timed.
-///
-/// ```
-/// use crossmine_obs::{span, ObsHandle};
-/// let obs = ObsHandle::enabled();
-/// let _s = span!(obs, "work", items = 3usize);
-/// ```
-#[macro_export]
-macro_rules! span {
-    ($obs:expr, $name:expr $(,)?) => {{
-        #[cfg(feature = "compile-out")]
-        {
-            $crate::SpanGuard::disabled()
-        }
-        #[cfg(not(feature = "compile-out"))]
-        {
-            $obs.span($name)
-        }
-    }};
-    ($obs:expr, $name:expr, $($k:ident = $v:expr),+ $(,)?) => {{
-        #[cfg(feature = "compile-out")]
-        {
-            $crate::SpanGuard::disabled()
-        }
-        #[cfg(not(feature = "compile-out"))]
-        {
-            $obs.span_with($name, &[$((stringify!($k), $crate::FieldValue::from($v))),+])
-        }
-    }};
-}
-
-/// Emits an instant event with structured fields; expands to nothing under
-/// the `compile-out` feature.
-///
-/// ```
-/// use crossmine_obs::{trace, ObsHandle};
-/// let obs = ObsHandle::enabled();
-/// trace!(obs, "sampling.done", kept = 10usize);
-/// ```
-#[macro_export]
-macro_rules! trace {
-    ($obs:expr, $name:expr $(, $k:ident = $v:expr)* $(,)?) => {{
-        #[cfg(not(feature = "compile-out"))]
-        $obs.event($name, &[$((stringify!($k), $crate::FieldValue::from($v))),*]);
-    }};
 }
 
 #[cfg(test)]
@@ -390,7 +217,6 @@ mod tests {
         obs.add("c", 1);
         obs.record("h", 1);
         obs.gauge_set("g", 1);
-        obs.event("e", &[]);
         assert!(obs.registry().is_none());
         assert!(obs.counter("c").is_none());
     }
@@ -411,34 +237,56 @@ mod tests {
     }
 
     #[test]
-    fn ring_handle_streams_enter_and_exit() {
-        let (obs, ring) = ObsHandle::with_ring(16);
+    fn nested_spans_record_into_their_own_histograms() {
+        let obs = ObsHandle::enabled();
         {
-            let _g = obs.span_with("outer", &[("k", FieldValue::U64(1))]);
+            let _outer = obs.span("outer");
+            for _ in 0..3 {
+                let _inner = obs.span("inner");
+            }
         }
-        obs.event("point", &[("v", FieldValue::U64(7))]);
-        let events = ring.drain();
-        let kinds: Vec<EventKind> = events.iter().map(|e| e.kind).collect();
-        assert_eq!(kinds, vec![EventKind::Enter, EventKind::Exit, EventKind::Instant]);
-        assert_eq!(events[0].fields, vec![("k", FieldValue::U64(1))]);
-        assert!(events[1].elapsed_ns.is_some());
-        // `event` also counts under the registry.
-        assert_eq!(obs.registry().unwrap().counter_values(), vec![("point", 1)]);
+        let counts: Vec<_> =
+            obs.registry().unwrap().span_snapshots().iter().map(|s| (s.name, s.count)).collect();
+        assert!(counts.contains(&("outer", 1)), "{counts:?}");
+        assert!(counts.contains(&("inner", 3)), "{counts:?}");
     }
 
     #[test]
-    #[cfg(not(feature = "compile-out"))]
-    fn macros_compile_and_record() {
+    fn disabled_guard_records_nothing() {
         let obs = ObsHandle::enabled();
         {
-            let _s = span!(obs, "macro.span");
-            let _t = span!(obs, "macro.span2", n = 3usize, label = "x");
+            let g = SpanGuard::disabled();
+            assert!(!g.is_recording());
+            assert!(obs.span("live").is_recording());
         }
-        trace!(obs, "macro.trace");
         let names: Vec<_> =
             obs.registry().unwrap().span_snapshots().iter().map(|s| s.name).collect();
-        assert!(names.contains(&"macro.span"));
-        assert!(names.contains(&"macro.span2"));
+        assert_eq!(names, vec!["live"]);
+    }
+
+    #[test]
+    fn metrics_jsonl_export_is_parseable_json_lines() {
+        let obs = ObsHandle::enabled();
+        {
+            let _s = obs.span("learner.clause");
+        }
+        obs.add("propagation.passes", 3);
+        obs.record("batch.size", 17);
+        obs.gauge_set("queue.depth", 4);
+
+        let mut out = Vec::new();
+        obs.write_metrics_jsonl(&mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert!(!text.is_empty());
+        for line in text.lines() {
+            // Minimal shape check: each line is a JSON object naming a metric.
+            assert!(line.starts_with('{') && line.ends_with('}'), "not an object: {line}");
+            assert!(line.contains("\"name\":"), "unnamed metric line: {line}");
+        }
+        assert!(text.contains("propagation.passes"));
+        assert!(text.contains("learner.clause"));
+        assert!(text.contains("batch.size"));
+        assert!(text.contains("queue.depth"));
     }
 
     #[test]
@@ -447,7 +295,7 @@ mod tests {
         let clone = obs.clone();
         clone.add("shared", 4);
         assert_eq!(obs.registry().unwrap().counter_values(), vec![("shared", 4)]);
-        assert_eq!(format!("{obs:?}"), "ObsHandle(enabled, events: false)");
+        assert_eq!(format!("{obs:?}"), "ObsHandle(enabled)");
         assert_eq!(format!("{:?}", ObsHandle::noop()), "ObsHandle(noop)");
     }
 }

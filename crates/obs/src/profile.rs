@@ -28,11 +28,10 @@
 //! the [`Default`]) is a `None` inside — [`Profiler::enter`] is one branch
 //! and zero allocations, [`LockTimer::noop`] runs the closure and nothing
 //! else, and the wrapped allocator is a single relaxed load when no
-//! profiler is live. Under the `compile-out` feature every constructor
-//! returns the noop, erasing the subsystem from builds that want it gone.
-//! The enabled hot path is small by construction: a guard push is two
-//! sequence-counter bumps and two relaxed stores into a preallocated
-//! per-thread slot; the sampler's work happens on its own thread.
+//! profiler is live. The enabled hot path is small by construction: a
+//! guard push is two sequence-counter bumps and two relaxed stores into a
+//! preallocated per-thread slot; the sampler's work happens on its own
+//! thread.
 //!
 //! [seqlock]: https://en.wikipedia.org/wiki/Seqlock
 //!
@@ -574,8 +573,7 @@ pub struct ProfileStats {
 ///
 /// The no-op handle (also the [`Default`]) is what every config carries
 /// unless the caller opts in; every instrumentation call on it is one
-/// branch. Under the `compile-out` feature all constructors return the
-/// noop.
+/// branch.
 #[derive(Clone, Default)]
 pub struct Profiler(Option<Arc<ProfilerShared>>);
 
@@ -601,7 +599,6 @@ impl Profiler {
     }
 
     /// An enabled profiler with explicit knobs.
-    #[cfg(not(feature = "compile-out"))]
     pub fn with_config(cfg: ProfileConfig) -> Self {
         if cfg.track_allocs {
             ALLOC_PROFILERS.fetch_add(1, Ordering::Relaxed);
@@ -622,12 +619,6 @@ impl Profiler {
             .spawn(move || sampler_core.run_sampler())
             .ok();
         Profiler(Some(Arc::new(ProfilerShared { core, sampler: Mutex::new(sampler) })))
-    }
-
-    /// Under `compile-out`, every constructor is the noop.
-    #[cfg(feature = "compile-out")]
-    pub fn with_config(_cfg: ProfileConfig) -> Self {
-        Profiler(None)
     }
 
     /// Whether this profiler records anything.
@@ -795,11 +786,6 @@ pub struct ProfileGuard {
 }
 
 impl ProfileGuard {
-    /// A guard that records nothing.
-    pub fn disabled() -> ProfileGuard {
-        ProfileGuard { inner: None }
-    }
-
     /// Whether this guard published a frame.
     pub fn is_recording(&self) -> bool {
         self.inner.is_some()
@@ -987,7 +973,6 @@ mod tests {
         assert_eq!(format!("{p:?}"), "Profiler(noop)");
     }
 
-    #[cfg(not(feature = "compile-out"))]
     mod enabled {
         use super::*;
 
@@ -1194,13 +1179,5 @@ mod tests {
                 assert!(process_stats().is_none());
             }
         }
-    }
-
-    #[cfg(feature = "compile-out")]
-    #[test]
-    fn constructors_compile_out_to_noop() {
-        assert!(!Profiler::enabled().is_enabled());
-        assert!(!Profiler::with_config(ProfileConfig::default()).is_enabled());
-        assert!(!Profiler::enabled().enter("x").is_recording());
     }
 }

@@ -15,9 +15,7 @@
 //!
 //! * **Noop is free.** [`Tracer::noop`] and the contexts it hands out
 //!   are a `None` inside; every instrumentation call is one branch and
-//!   zero allocations (pinned by the counting-allocator test). Under the
-//!   `compile-out` feature every constructor returns the noop, so the
-//!   whole subsystem erases from release builds that want it gone.
+//!   zero allocations (pinned by the counting-allocator test).
 //! * **Tail-based sampling.** No trace is dropped at birth — the keep
 //!   decision happens at completion time, when the outcome is known: a
 //!   bounded ring retains every error/shed/deadline trace plus the
@@ -36,7 +34,32 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::metrics::{bucket_of, bucket_upper_bound, NUM_BUCKETS};
-use crate::trace::FieldValue;
+
+/// One span attribute value. `Str` is `&'static str` so that building an
+/// attribute never allocates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FieldValue {
+    /// Unsigned integer.
+    U64(u64),
+    /// Static string.
+    Str(&'static str),
+}
+
+impl From<u64> for FieldValue {
+    fn from(v: u64) -> Self {
+        FieldValue::U64(v)
+    }
+}
+impl From<usize> for FieldValue {
+    fn from(v: usize) -> Self {
+        FieldValue::U64(v as u64)
+    }
+}
+impl From<&'static str> for FieldValue {
+    fn from(v: &'static str) -> Self {
+        FieldValue::Str(v)
+    }
+}
 
 /// Identifies one request's trace. `0` is the "unset" sentinel (noop
 /// contexts, empty exemplar slots); generated ids start at 1. Wire
@@ -137,16 +160,6 @@ fn write_json_field_value(out: &mut String, v: &FieldValue) {
     use std::fmt::Write as _;
     match v {
         FieldValue::U64(x) => {
-            let _ = write!(out, "{x}");
-        }
-        FieldValue::I64(x) => {
-            let _ = write!(out, "{x}");
-        }
-        FieldValue::F64(x) if x.is_finite() => {
-            let _ = write!(out, "{x}");
-        }
-        FieldValue::F64(_) => out.push_str("null"),
-        FieldValue::Bool(x) => {
             let _ = write!(out, "{x}");
         }
         FieldValue::Str(s) => {
@@ -556,8 +569,7 @@ impl TracerCore {
 /// The per-server tracing session: hands out [`TraceCtx`]s, owns the
 /// tail-sampling ring, and serves stored traces to the `/trace`
 /// endpoint. Cheap to clone; the noop tracer (also the [`Default`])
-/// makes every downstream trace call one branch. Under the
-/// `compile-out` feature all constructors return the noop.
+/// makes every downstream trace call one branch.
 #[derive(Clone, Default)]
 pub struct Tracer(Option<Arc<TracerCore>>);
 
@@ -594,12 +606,6 @@ impl Tracer {
         Self::build(cfg, Some(Mutex::new(sink)))
     }
 
-    #[cfg(feature = "compile-out")]
-    fn build(_cfg: TraceConfig, _slow_log: Option<Mutex<Box<dyn Write + Send>>>) -> Self {
-        Tracer(None)
-    }
-
-    #[cfg(not(feature = "compile-out"))]
     fn build(cfg: TraceConfig, slow_log: Option<Mutex<Box<dyn Write + Send>>>) -> Self {
         Tracer(Some(Arc::new(TracerCore {
             state: Mutex::new(SamplerState {
@@ -733,7 +739,6 @@ mod tests {
         assert_eq!(format!("{tracer:?}"), "Tracer(noop)");
     }
 
-    #[cfg(not(feature = "compile-out"))]
     mod enabled {
         use super::*;
 
@@ -943,15 +948,5 @@ mod tests {
             assert_eq!(ex.for_value(1), None);
             assert_eq!(ex.nonempty(), vec![(3, TraceId(2)), (127, TraceId(9))]);
         }
-    }
-
-    #[cfg(feature = "compile-out")]
-    #[test]
-    fn constructors_compile_out_to_noop() {
-        assert!(!Tracer::enabled().is_enabled());
-        assert!(!Tracer::with_config(TraceConfig::default()).is_enabled());
-        let ctx = Tracer::enabled().start(9);
-        assert!(!ctx.is_active());
-        assert!(ctx.complete().is_none());
     }
 }

@@ -1,121 +1,9 @@
-//! Tracing-core integration tests: concurrent recorder writes preserve
-//! every event, span nesting depth is stamped correctly, and the ring
-//! sink's bounded-retention contract holds under real span traffic.
+//! Tracing-core integration test: concurrent span aggregation counts
+//! every span and counter increment across threads.
 
-use std::sync::Arc;
 use std::thread;
 
-use crossmine_obs::trace::{EventKind, RingSink};
 use crossmine_obs::{ObsHandle, TrainReport};
-
-#[test]
-fn concurrent_writes_preserve_every_event() {
-    const THREADS: usize = 8;
-    const EVENTS_PER_THREAD: usize = 250;
-    let (obs, ring) = ObsHandle::with_ring(THREADS * EVENTS_PER_THREAD);
-
-    thread::scope(|scope| {
-        for _ in 0..THREADS {
-            let obs = obs.clone();
-            scope.spawn(move || {
-                for i in 0..EVENTS_PER_THREAD {
-                    obs.event("worker.tick", &[("i", (i as u64).into())]);
-                }
-            });
-        }
-    });
-
-    let events = ring.drain();
-    assert_eq!(events.len(), THREADS * EVENTS_PER_THREAD, "no event lost");
-    assert_eq!(ring.evicted(), 0);
-
-    // Sequence numbers are a permutation of 0..N: nothing dropped, nothing
-    // duplicated, even under contention.
-    let mut seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
-    seqs.sort_unstable();
-    let expected: Vec<u64> = (0..(THREADS * EVENTS_PER_THREAD) as u64).collect();
-    assert_eq!(seqs, expected);
-
-    // Every participating thread got a distinct ordinal.
-    let mut threads: Vec<u64> = events.iter().map(|e| e.thread).collect();
-    threads.sort_unstable();
-    threads.dedup();
-    assert_eq!(threads.len(), THREADS);
-
-    // The aggregate counter agrees with the sink.
-    let counters = obs.registry().unwrap().counter_values();
-    assert_eq!(counters, vec![("worker.tick", (THREADS * EVENTS_PER_THREAD) as u64)]);
-}
-
-#[test]
-fn span_nesting_depth_is_stamped_per_level() {
-    let (obs, ring) = ObsHandle::with_ring(64);
-    {
-        let _outer = obs.span("outer");
-        {
-            let _mid = obs.span("mid");
-            let _inner = obs.span("inner");
-        }
-        let _sibling = obs.span("sibling");
-    }
-    let events = ring.drain();
-    let depth_of = |name: &str, kind: EventKind| {
-        events.iter().find(|e| e.name == name && e.kind == kind).map(|e| e.depth).unwrap()
-    };
-    assert_eq!(depth_of("outer", EventKind::Enter), 0);
-    assert_eq!(depth_of("mid", EventKind::Enter), 1);
-    assert_eq!(depth_of("inner", EventKind::Enter), 2);
-    // `sibling` starts after `mid`/`inner` closed: back at depth 1.
-    assert_eq!(depth_of("sibling", EventKind::Enter), 1);
-    // Exit events carry the *inner* depth (emitted before the pop's effect
-    // is visible to the next span) and a measured duration.
-    for name in ["outer", "mid", "inner", "sibling"] {
-        let exit = events.iter().find(|e| e.name == name && e.kind == EventKind::Exit).unwrap();
-        assert!(exit.elapsed_ns.is_some(), "{name} exit has a duration");
-    }
-}
-
-#[test]
-fn depth_is_isolated_per_thread() {
-    let (obs, ring) = ObsHandle::with_ring(256);
-    thread::scope(|scope| {
-        for _ in 0..4 {
-            let obs = obs.clone();
-            scope.spawn(move || {
-                for _ in 0..8 {
-                    let _a = obs.span("a");
-                    let _b = obs.span("b");
-                }
-            });
-        }
-    });
-    for e in ring.drain() {
-        match (e.name, e.kind) {
-            ("a", EventKind::Enter) => assert_eq!(e.depth, 0),
-            ("b", EventKind::Enter) => assert_eq!(e.depth, 1),
-            _ => {}
-        }
-    }
-}
-
-#[test]
-fn ring_sink_keeps_most_recent_under_span_traffic() {
-    let ring = Arc::new(RingSink::new(10));
-    let obs = ObsHandle::with_sink(Arc::clone(&ring) as _);
-    for _ in 0..50 {
-        let _s = obs.span("hot");
-    }
-    // 50 spans → 100 events through a 10-slot ring.
-    assert_eq!(ring.len(), 10);
-    assert_eq!(ring.evicted(), 90);
-    let events = ring.drain();
-    assert_eq!(events.first().unwrap().seq, 90, "oldest surviving event");
-    assert_eq!(events.last().unwrap().seq, 99, "newest event");
-    // Aggregation is unaffected by ring eviction: all 50 spans counted.
-    let spans = obs.registry().unwrap().span_snapshots();
-    assert_eq!(spans.len(), 1);
-    assert_eq!(spans[0].count, 50);
-}
 
 #[test]
 fn concurrent_span_aggregation_counts_every_span() {
