@@ -14,7 +14,8 @@ use crossmine_net::frame;
 use crossmine_net::http::format_predict_request;
 use crossmine_relational::{ClassLabel, Database, Row};
 use crossmine_serve::{
-    ChaosConfig, CompiledPlan, ModelRegistry, NetConfig, PredictionServer, ServerConfig,
+    ChaosConfig, CompiledPlan, ModelRegistry, NetConfig, PredictionServer, ServeRequest,
+    ServerConfig,
 };
 use crossmine_synth::{generate, GenParams};
 
@@ -318,4 +319,52 @@ fn shutdown_finishes_in_flight_wire_requests() {
     server.shutdown();
     let code = handle.join().expect("reader thread");
     assert_eq!(code, 200, "in-flight request answered through the drain");
+}
+
+/// A wire batch is admitted all-or-nothing: when the queue has room for
+/// some of its rows but not all, none of them is queued. Admitting row by
+/// row would queue the rows that fit, answer the batch 429 anyway, and
+/// then score rows nobody waits for, whose undeliverable replies show up
+/// as phantom `serve.errors`.
+#[test]
+fn partly_fitting_wire_batch_is_shed_whole() {
+    let f = fixture();
+    let server = start_server(
+        ServerConfig::builder()
+            .workers(1)
+            .max_batch(1)
+            .queue_capacity(4)
+            .chaos(ChaosConfig {
+                stall_every: 1,
+                stall_for: Duration::from_millis(200),
+                ..Default::default()
+            })
+            .net(NetConfig::default())
+            .build()
+            .expect("valid config"),
+    );
+    // The worker takes the occupier and stalls on it; two more rows then
+    // leave room for two, so a 4-row batch fits only in part.
+    let occupier = server.serve(ServeRequest::row(f.rows[0])).expect("admitted");
+    std::thread::sleep(Duration::from_millis(50));
+    let queued = server.serve(ServeRequest::new(vec![f.rows[1], f.rows[2]])).expect("admitted");
+    let before = server.metrics();
+    assert_eq!(before.requests, 3);
+
+    let stream = connect(&server);
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let ids: Vec<u32> = f.rows[3..7].iter().map(|r| r.0).collect();
+    writer.write_all(&format_predict_request(&ids, None, true)).expect("send");
+    let (code, _, body) = read_http_response(&mut reader);
+    assert_eq!(code, 429, "{body}");
+    assert_eq!(server.metrics().requests, before.requests, "no row of the shed batch is queued");
+
+    for h in occupier.into_iter().chain(queued) {
+        h.wait().expect("in-process rows are scored");
+    }
+    let report = server.shutdown();
+    assert_eq!(report.requests, 3, "only the in-process rows were admitted");
+    assert_eq!(report.errors, 0, "a shed batch leaves no undeliverable replies behind");
+    assert!(report.shed > 0);
 }
