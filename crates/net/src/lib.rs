@@ -17,8 +17,14 @@
 //! overload is a typed `429` answered from the admission check, never a
 //! blocked accept loop.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
+
+#[cfg(not(target_os = "linux"))]
+compile_error!(
+    "crossmine-net needs Linux: the poll thread blocks in epoll and wakes on an eventfd"
+);
 
 pub mod conn;
 pub mod frame;
@@ -26,10 +32,14 @@ pub mod http;
 pub mod json;
 pub mod listener;
 pub mod metrics;
+// The epoll and eventfd bindings: the one module allowed `unsafe_code`.
+#[allow(unsafe_code)]
+mod poller;
 pub mod sniff;
 pub mod wire;
 
 pub use conn::{Connection, NetLimits, Protocol, WireReject};
 pub use listener::{Backend, NetConfig, NetListener};
 pub use metrics::{NetCountersSnapshot, NetMetrics};
+pub use poller::Waker;
 pub use wire::{BatchReply, WireStatus};

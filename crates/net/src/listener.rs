@@ -4,17 +4,21 @@
 //! All sockets run in nonblocking mode and a single thread sweeps them
 //! in a readiness loop: accept burst → read+parse per connection →
 //! backend completion poll → write burst → reaping. `WouldBlock` means
-//! "not ready, move on"; when a full sweep makes no progress the thread
-//! sleeps ~1 ms so an idle listener costs nothing measurable. The poll
-//! thread never blocks on I/O, the backend, or a lock held across
-//! requests — overload answers `429` from the admission check, it never
-//! stalls `accept(2)`.
+//! "not ready, move on". A sweep that made progress is followed at once
+//! by another; one that made none blocks in `epoll_wait` until a socket
+//! changes state, the backend signals a finished batch through the
+//! listener's [`Waker`], or the next metrics publish (every 100 ms) is
+//! due — an idle listener sleeps, and a lone request is read as soon as
+//! it lands. The poll thread never blocks on the backend or a lock held
+//! across requests — overload answers `429` from the admission check, it
+//! never stalls `accept(2)`.
 //!
 //! Protocol work (sniffing, parsing, pipelining, response encoding)
 //! lives in [`Connection`]; this module only moves bytes and tickets.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -28,12 +32,15 @@ use crate::metrics::{
     NetCountersSnapshot, NetMetrics, STAGE_ACCEPT_US, STAGE_DECODE_US, STAGE_READ_US,
     STAGE_REQUEST_US, STAGE_WRITE_US,
 };
+use crate::poller::{Poller, Waker};
 use crate::wire::BatchReply;
 
 /// What the wire front end plugs into: an admission-controlled
 /// prediction queue. Implemented by the serve crate; the tests use
 /// in-memory fakes. Both methods MUST be nonblocking — the poll thread
-/// calls them inline.
+/// calls them inline — and a backend that finishes a batch after
+/// `submit` returned must call [`Waker::wake`] on the waker it was given,
+/// or the poll thread only notices at its next 100 ms tick.
 pub trait Backend: Send + Sync + 'static {
     /// An in-flight batch the backend is still scoring.
     type Pending: Send;
@@ -43,7 +50,9 @@ pub trait Backend: Send + Sync + 'static {
     /// the request's trace context (noop when tracing is off); backends
     /// clone it onto the enqueued work so worker-side spans land in the
     /// same tree, and mark it on rejection so tail sampling keeps the
-    /// trace.
+    /// trace. `waker` is the listener's: wake it once the batch's replies
+    /// are ready to [`poll`](Self::poll). A backend that resolves every
+    /// batch inside `submit` may ignore it.
     ///
     /// # Errors
     ///
@@ -53,6 +62,7 @@ pub trait Backend: Send + Sync + 'static {
         rows: &[Row],
         deadline: Option<Duration>,
         trace: &TraceCtx,
+        waker: &Waker,
     ) -> Result<Self::Pending, WireReject>;
 
     /// Polls an in-flight batch; `Some` when it finished (either way).
@@ -112,6 +122,8 @@ struct Control {
 pub struct NetListener {
     addr: SocketAddr,
     control: Arc<Control>,
+    /// Ends the poll thread's wait so it sees drain and stop at once.
+    waker: Waker,
     thread: Option<thread::JoinHandle<()>>,
     metrics: Arc<NetMetrics>,
 }
@@ -133,6 +145,10 @@ impl NetListener {
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        let poller = Poller::new()?;
+        let waker = Waker::new()?;
+        poller.register(listener.as_raw_fd(), SOCKET_TOKEN)?;
+        poller.register_waker(&waker, WAKER_TOKEN)?;
         let control = Arc::new(Control {
             draining: AtomicBool::new(false),
             stopping: AtomicBool::new(false),
@@ -140,11 +156,13 @@ impl NetListener {
         let thread = {
             let control = Arc::clone(&control);
             let metrics = Arc::clone(&metrics);
+            let waker = waker.clone();
+            let ctx = LoopCtx { config, backend, obs, control, metrics, waker };
             thread::Builder::new()
                 .name("crossmine-net".to_string())
-                .spawn(move || poll_loop(listener, config, backend, obs, control, metrics))?
+                .spawn(move || poll_loop(listener, poller, ctx))?
         };
-        Ok(NetListener { addr, control, thread: Some(thread), metrics })
+        Ok(NetListener { addr, control, waker, thread: Some(thread), metrics })
     }
 
     /// The bound address (useful with port 0).
@@ -161,6 +179,7 @@ impl NetListener {
     /// finishes, but new predict requests are answered `503`.
     pub fn begin_drain(&self) {
         self.control.draining.store(true, Ordering::SeqCst);
+        self.waker.wake();
     }
 
     /// Stops the poll thread: drains in-flight responses (bounded by
@@ -172,6 +191,7 @@ impl NetListener {
     fn stop_and_join(&mut self) {
         self.control.draining.store(true, Ordering::SeqCst);
         self.control.stopping.store(true, Ordering::SeqCst);
+        self.waker.wake();
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -202,21 +222,24 @@ struct ConnEntry<B: Backend> {
 }
 
 const READ_CHUNK: usize = 16 * 1024;
-const IDLE_SLEEP: Duration = Duration::from_millis(1);
-/// Sleep while backend work is in flight: long enough to not spin the
-/// core, short enough that reply latency isn't dominated by the sweep
-/// cadence (the backend resolves on its own worker threads).
-const BUSY_SLEEP: Duration = Duration::from_micros(20);
 const PUBLISH_EVERY: Duration = Duration::from_millis(100);
+/// Every socket shares one token: a readiness report only ends the wait,
+/// and the sweep that follows visits every connection anyway.
+const SOCKET_TOKEN: u64 = 0;
+const WAKER_TOKEN: u64 = 1;
 
-fn poll_loop<B: Backend>(
-    listener: TcpListener,
+/// What the poll thread owns besides its sockets.
+struct LoopCtx<B> {
     config: NetConfig,
     backend: Arc<B>,
     obs: ObsHandle,
     control: Arc<Control>,
     metrics: Arc<NetMetrics>,
-) {
+    waker: Waker,
+}
+
+fn poll_loop<B: Backend>(listener: TcpListener, mut poller: Poller, ctx: LoopCtx<B>) {
+    let LoopCtx { config, backend, obs, control, metrics, waker } = ctx;
     // Root profile frame held for the poll thread's whole life: every
     // wall sample of this thread lands under `net.poll`, refined by the
     // sniff/parse/write frames pushed inside the sweep.
@@ -227,7 +250,6 @@ fn poll_loop<B: Backend>(
     let mut last_publish = Instant::now();
     let mut last_snapshot = NetCountersSnapshot::default();
     let mut drain_deadline: Option<Instant> = None;
-    let mut backoff = BUSY_SLEEP;
 
     loop {
         let now = Instant::now();
@@ -240,13 +262,14 @@ fn poll_loop<B: Backend>(
 
         // 1. Accept burst (skipped once stopping).
         if !stopping {
-            progress |= accept_burst(&listener, &config, &mut conns, &metrics, &obs, now);
+            progress |= accept_burst(&listener, &poller, &config, &mut conns, &metrics, &obs, now);
         }
 
         // 2. Read + parse per connection.
         for entry in conns.iter_mut().flatten() {
-            progress |=
-                service_reads(entry, &config, &backend, &metrics, &obs, &mut buf, draining, now);
+            progress |= service_reads(
+                entry, &config, &backend, &waker, &metrics, &obs, &mut buf, draining, now,
+            );
         }
 
         // 3. Poll in-flight backend work.
@@ -314,26 +337,29 @@ fn poll_loop<B: Backend>(
             }
         }
 
-        if progress {
-            backoff = BUSY_SLEEP;
-            metrics.sweep_backoff_us.store(BUSY_SLEEP.as_micros() as u64, Ordering::Relaxed);
-        } else {
-            // Adaptive poll cadence: a sweep that moved nothing re-checks
-            // quickly at first (a reply lands, or the next keep-alive
-            // request arrives, microseconds later), doubling toward the
-            // 1 ms idle tick so a quiet listener costs nothing measurable.
-            // In-flight backend work pins the cadence at the fast end.
-            let busy = conns.iter().flatten().any(|e| !e.pendings.is_empty());
-            let wait = if busy { BUSY_SLEEP } else { backoff };
-            metrics.sweep_backoff_us.store(wait.as_micros() as u64, Ordering::Relaxed);
-            thread::sleep(wait);
-            backoff = (backoff * 2).min(IDLE_SLEEP);
+        // 8. A sweep that moved something may have unblocked more (a
+        // freed pipeline slot, a capped read burst): sweep again at once.
+        // One that moved nothing waits for a socket edge, a backend
+        // completion on the waker, or the next publish / drain deadline.
+        if !progress {
+            let mut timeout = PUBLISH_EVERY.saturating_sub(now.duration_since(last_publish));
+            if let Some(deadline) = drain_deadline {
+                timeout = timeout.min(deadline.saturating_duration_since(now));
+            }
+            // An error here (none is expected on a valid epoll set) just
+            // means another sweep.
+            if let Ok(mut ready) = poller.wait(timeout) {
+                if ready.any(|token| token == WAKER_TOKEN) {
+                    waker.drain();
+                }
+            }
         }
     }
 }
 
 fn accept_burst<B: Backend>(
     listener: &TcpListener,
+    poller: &Poller,
     config: &NetConfig,
     conns: &mut Vec<Option<ConnEntry<B>>>,
     metrics: &NetMetrics,
@@ -355,7 +381,9 @@ fn accept_burst<B: Backend>(
                     drop(stream);
                     continue;
                 }
-                if stream.set_nonblocking(true).is_err() {
+                if stream.set_nonblocking(true).is_err()
+                    || poller.register(stream.as_raw_fd(), SOCKET_TOKEN).is_err()
+                {
                     NetMetrics::inc(&metrics.closed);
                     continue;
                 }
@@ -389,6 +417,7 @@ fn service_reads<B: Backend>(
     entry: &mut ConnEntry<B>,
     config: &NetConfig,
     backend: &Arc<B>,
+    waker: &Waker,
     metrics: &NetMetrics,
     obs: &ObsHandle,
     buf: &mut [u8],
@@ -440,7 +469,7 @@ fn service_reads<B: Backend>(
         let conn = &mut entry.conn;
         let pendings = &mut entry.pendings;
         conn.pump(&config.limits, draining, |slot, rows, deadline, trace| {
-            match backend.submit(rows, deadline, trace) {
+            match backend.submit(rows, deadline, trace, waker) {
                 Ok(pending) => {
                     pendings.push((slot, pending));
                     Ok(())
@@ -580,6 +609,7 @@ mod tests {
             rows: &[Row],
             _deadline: Option<Duration>,
             _trace: &TraceCtx,
+            _waker: &Waker,
         ) -> Result<Self::Pending, WireReject> {
             if let Ok(mut s) = self.submitted.lock() {
                 s.push(rows.len());
@@ -603,6 +633,7 @@ mod tests {
             _: &[Row],
             _: Option<Duration>,
             _: &TraceCtx,
+            _: &Waker,
         ) -> Result<Self::Pending, WireReject> {
             Err(WireReject::new(crate::wire::WireStatus::overloaded(), "queue full"))
         }

@@ -35,10 +35,6 @@ pub struct NetMetrics {
     pub bytes_read: AtomicU64,
     /// Bytes written to sockets.
     pub bytes_written: AtomicU64,
-    /// Current adaptive sweep backoff of the poll loop, in microseconds.
-    /// Gauge, not counter: exported as `crossmine_net_sweep_backoff_us` so
-    /// the 20µs–1ms idle ramp is visible on /metrics.
-    pub sweep_backoff_us: AtomicU64,
     /// Most recent `TraceId` per wire-latency log2 bucket. Joined against
     /// `net.request_us` so a tail bucket resolves to a stored trace.
     pub request_exemplars: Exemplars,
@@ -79,7 +75,6 @@ impl NetMetrics {
         obs.add("net.bytes_read", cur.bytes_read.saturating_sub(last.bytes_read));
         obs.add("net.bytes_written", cur.bytes_written.saturating_sub(last.bytes_written));
         obs.gauge_set("net.open_conns", cur.accepted.saturating_sub(cur.closed) as i64);
-        obs.gauge_set("net.sweep_backoff_us", Self::get(&self.sweep_backoff_us) as i64);
         *last = cur;
     }
 
@@ -177,17 +172,5 @@ mod tests {
         // open_conns likewise saturates instead of going hugely positive.
         let gauges: std::collections::HashMap<_, _> = reg.gauge_values().into_iter().collect();
         assert_eq!(gauges.get("net.open_conns"), Some(&2));
-    }
-
-    #[test]
-    fn sweep_backoff_gauge_is_published() {
-        let obs = ObsHandle::enabled();
-        let m = NetMetrics::default();
-        m.sweep_backoff_us.store(640, Ordering::Relaxed);
-        let mut last = NetCountersSnapshot::default();
-        m.publish(&obs, &mut last);
-        let reg = obs.registry().expect("enabled");
-        let gauges: std::collections::HashMap<_, _> = reg.gauge_values().into_iter().collect();
-        assert_eq!(gauges.get("net.sweep_backoff_us"), Some(&640));
     }
 }

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crossmine_net::http::format_predict_request;
-use crossmine_net::{Backend, BatchReply, NetConfig, NetListener, NetMetrics, WireReject};
+use crossmine_net::{Backend, BatchReply, NetConfig, NetListener, NetMetrics, Waker, WireReject};
 use crossmine_obs::{ObsHandle, TraceCtx};
 use crossmine_relational::Row;
 
@@ -21,6 +21,7 @@ impl Backend for Echo {
         rows: &[Row],
         _deadline: Option<Duration>,
         _trace: &TraceCtx,
+        _waker: &Waker,
     ) -> Result<Self::Pending, WireReject> {
         Ok(BatchReply { epoch: 1, labels: rows.iter().map(|r| r.0 % 2).collect() })
     }

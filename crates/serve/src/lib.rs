@@ -19,8 +19,10 @@
 //! * [`registry`] — **lock-free model hot-swap**: wait-free epoch-stamped
 //!   snapshots; a batch is always scored under exactly one model.
 //! * [`server`] — the **concurrent micro-batching server**: bounded
-//!   admission queue, worker pool, flush on `max_batch`/`max_wait`,
-//!   drain-based shutdown with zero dropped requests.
+//!   all-or-nothing admission queue, worker pool; an idle worker scores
+//!   a lone request at once, a worker facing a backlog flushes on
+//!   `max_batch`/`max_wait`; drain-based shutdown with zero dropped
+//!   requests.
 //! * [`metrics`] — lock-free counters and log₂ latency/batch-size
 //!   histograms with a text report.
 //! * [`error`] — the typed [`ServeError`] contract: overload shedding,

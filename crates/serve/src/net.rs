@@ -19,7 +19,7 @@
 
 use std::time::Duration;
 
-use crossmine_net::{Backend, BatchReply, WireReject, WireStatus};
+use crossmine_net::{Backend, BatchReply, Waker, WireReject, WireStatus};
 use crossmine_obs::TraceCtx;
 use crossmine_relational::Row;
 
@@ -70,7 +70,7 @@ impl ServePending {
 
 /// Drains whatever replies have arrived; `Some` once every row is
 /// resolved. A batch with any failed row answers with the first failure
-/// (request order), matching the all-or-nothing submit. This is the one
+/// (request order). This is the one
 /// copy of the resolution state machine — both wire backends (single
 /// server and shard router) call it.
 pub(crate) fn poll_pending(pending: &mut ServePending) -> Option<Result<BatchReply, WireReject>> {
@@ -106,9 +106,9 @@ pub(crate) fn poll_pending(pending: &mut ServePending) -> Option<Result<BatchRep
     Some(Ok(BatchReply { epoch, labels }))
 }
 
-/// [`Backend`] over the server's admission queue. Rows of one wire batch
-/// are admitted individually — they share the queue, the shedding
-/// policy, and the deadline clock with every in-process submitter.
+/// [`Backend`] over the server's admission queue. A wire batch shares the
+/// queue, the shedding policy, and the deadline clock with every
+/// in-process submitter.
 pub struct ServeBackend {
     admitter: Admitter,
 }
@@ -123,29 +123,24 @@ impl ServeBackend {
 impl Backend for ServeBackend {
     type Pending = ServePending;
 
-    /// Admits every row of the batch, all-or-nothing: on the first
-    /// rejection the already-admitted handles are dropped (the workers
-    /// still score them; the replies are discarded and counted under
-    /// `serve.errors`) and the whole batch is answered with the
-    /// rejection's wire status. Each row rides under the connection's
-    /// trace context; the connection completes the trace when the reply
-    /// bytes reach the socket, so the workers only add their spans
-    /// (`complete_in_worker = false`).
+    /// Admits the batch all-or-nothing in one queue push; a rejection
+    /// queues nothing and answers the whole batch with its wire status.
+    /// Each row rides under the connection's trace context; the
+    /// connection completes the trace when the reply bytes reach the
+    /// socket, so the workers only add their spans. The worker that
+    /// answers the rows wakes `waker`.
     fn submit(
         &self,
         rows: &[Row],
         deadline: Option<Duration>,
         trace: &TraceCtx,
+        waker: &Waker,
     ) -> Result<ServePending, WireReject> {
         let deadline = deadline.map(|d| std::time::Instant::now() + d);
-        let mut slots = Vec::with_capacity(rows.len());
-        for &row in rows {
-            match self.admitter.admit_traced(row, deadline, trace.clone(), false) {
-                Ok(handle) => slots.push(PendingSlot::Waiting(handle)),
-                Err(e) => return Err(reject_for(&e)),
-            }
-        }
-        Ok(ServePending { slots })
+        self.admitter
+            .admit_batch(rows, deadline, Some(trace), Some(waker))
+            .map(ServePending::from_handles)
+            .map_err(|e| reject_for(&e))
     }
 
     /// Resolution is shared with the shard router: see [`poll_pending`].

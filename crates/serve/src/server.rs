@@ -2,20 +2,24 @@
 //!
 //! Architecture: a **bounded admission queue** (mutex + condvar) feeding a
 //! pool of `std::thread` workers. Each worker **micro-batches**: it takes
-//! the first waiting request, then keeps draining the queue until either
-//! `max_batch` requests are in hand or `max_wait` has elapsed since it
-//! started collecting, then scores the whole batch with **one**
-//! [`evaluate_batch`] call against **one** [`ModelRegistry`] snapshot. The
+//! up to `max_batch` waiting requests and scores them with **one**
+//! [`evaluate_batch`] call against **one** [`ModelRegistry`] snapshot. A
+//! worker that was idle — it had to wait for its first request — scores
+//! what it took at once: nothing else is queued to batch with. A worker
+//! that found a backlog keeps draining until `max_batch` requests are in
+//! hand or `max_wait` has elapsed since it started collecting. The
 //! snapshot-per-batch discipline is what makes hot swaps safe: a batch is
 //! never scored under a mix of models, and responses carry the epoch that
 //! scored them.
 //!
 //! Admission control (the fallible-by-design contract):
 //!
-//! * **Load shedding** — [`PredictionServer::serve`] never blocks. When
-//!   the queue is full the request is rejected with
-//!   [`ServeError::Overloaded`] and counted (`serve.requests_shed`);
-//!   clients retry with backoff (`crossmine-bench::submit_with_retry`).
+//! * **Load shedding** — [`PredictionServer::serve`] never blocks. A
+//!   request's rows are queued all together or not at all: when they do
+//!   not fit, the whole request is rejected with
+//!   [`ServeError::Overloaded`] and its rows counted
+//!   (`serve.requests_shed`); clients retry with backoff
+//!   (`crossmine-bench::submit_with_retry`).
 //! * **Deadlines** — [`ServeRequest::deadline`] carries a per-request
 //!   deadline through the queue. Workers check it when they collect a
 //!   batch: an expired request is answered with
@@ -52,7 +56,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossmine_net::{NetConfig, NetListener, NetMetrics};
+use crossmine_net::{NetConfig, NetListener, NetMetrics, Waker};
 use crossmine_obs::{LockTimer, ObsHandle, Profiler, TraceCtx, Tracer, ROOT_SPAN};
 use crossmine_relational::{ClassLabel, Database, DeltaBatch, DeltaOverlay, Row};
 
@@ -95,10 +99,13 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Largest batch one worker scores at once.
     pub max_batch: usize,
-    /// How long a worker waits for the batch to fill before flushing.
+    /// The longest a worker that found a backlog keeps collecting before
+    /// it scores. A worker that was idle scores its first request at
+    /// once and never waits this out.
     pub max_wait: Duration,
-    /// Admission-queue capacity; submissions are shed with
-    /// [`ServeError::Overloaded`] when it is full.
+    /// Admission-queue capacity; a submission whose rows do not all fit
+    /// is shed whole with [`ServeError::Overloaded`]. A submission with
+    /// more rows than the capacity fits only an empty queue.
     pub queue_capacity: usize,
     /// Observability handle shared by every worker. The default no-op
     /// handle disables all tracing; an enabled handle adds per-batch
@@ -239,7 +246,9 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// How long a worker waits for the batch to fill before flushing.
+    /// The longest a worker that found a backlog keeps collecting before
+    /// it scores; an idle worker scores at once. See
+    /// [`ServerConfig::max_wait`].
     pub fn max_wait(mut self, max_wait: Duration) -> Self {
         self.config.max_wait = max_wait;
         self
@@ -424,6 +433,9 @@ struct Request {
     /// connection's reply bytes reach the socket — the worker only adds
     /// its spans.
     complete_in_worker: bool,
+    /// The wire listener's waker, woken once the reply is sent so the
+    /// poll thread picks it up at once. `None` for in-process requests.
+    waker: Option<Waker>,
 }
 
 struct QueueState {
@@ -467,69 +479,129 @@ pub(crate) struct Admitter {
 }
 
 impl Admitter {
-    /// Enqueues one row; never blocks. See [`PredictionServer::submit`]
-    /// for the error contract. In-process path: the trace is born here
-    /// and completed by the worker that answers it.
-    pub(crate) fn admit(
+    /// Enqueues every row of `rows` or none of them; never blocks. See
+    /// [`admit_all`], which this is for one queue.
+    pub(crate) fn admit_batch(
         &self,
-        row: Row,
+        rows: &[Row],
         deadline: Option<Instant>,
-    ) -> Result<PredictionHandle, ServeError> {
-        let trace = self.tracer.start(0);
-        self.admit_traced(row, deadline, trace, true)
+        trace: Option<&TraceCtx>,
+        waker: Option<&Waker>,
+    ) -> Result<Vec<PredictionHandle>, ServeError> {
+        Ok(admit_all(&[(self, rows)], deadline, trace, waker)?.pop().unwrap_or_default())
     }
+}
 
-    /// Enqueues one row under an existing trace context. The wire front
-    /// end passes the trace the connection opened (with its `net.sniff` /
-    /// `net.parse` spans already in place) and keeps ownership of
-    /// completion: `complete_in_worker = false` means the worker only
-    /// adds its spans, and the trace finishes when the reply's bytes
-    /// reach the socket.
-    pub(crate) fn admit_traced(
-        &self,
-        row: Row,
-        deadline: Option<Instant>,
-        trace: TraceCtx,
-        complete_in_worker: bool,
-    ) -> Result<PredictionHandle, ServeError> {
-        let (tx, rx) = mpsc::channel();
-        let _adm = self.profiler.enter("serve.admission");
-        let mut st = self.queue_timer.time(|| lock_state(&self.shared));
-        if st.shutdown {
-            drop(st);
-            trace.mark_error();
-            if complete_in_worker {
-                let _ = trace.complete();
-            }
-            return Err(ServeError::ShuttingDown);
-        }
-        if st.queue.len() >= self.queue_capacity {
-            let queue_depth = st.queue.len();
-            drop(st);
-            self.metrics.shed.fetch_add(1, Ordering::Relaxed);
-            self.obs.add("serve.requests_shed", 1);
-            // Shed requests are exactly the traces tail sampling must keep:
-            // mark the error before completing so the ring retains them.
-            trace.mark_error();
-            if complete_in_worker {
-                let _ = trace.complete();
-            }
-            return Err(ServeError::Overloaded { queue_depth, capacity: self.queue_capacity });
-        }
-        st.queue.push_back(Request {
-            row,
-            enqueued: Instant::now(),
-            deadline,
-            reply: tx,
-            trace,
-            complete_in_worker,
-        });
-        self.metrics.requests.fetch_add(1, Ordering::Relaxed);
-        self.metrics.queue_depth.record(st.queue.len() as u64);
-        drop(st);
-        self.shared.not_empty.notify_one();
-        Ok(PredictionHandle { row, rx })
+/// Enqueues rows into one or more queues (the shards of a router), each
+/// `(admitter, rows)` pair bound for its own queue, all together or not
+/// at all; never blocks. The queue locks are taken in slice order, so
+/// callers that list shards in index order cannot deadlock. Each queue
+/// gets one push and one wakeup, so an idle worker never wakes to only
+/// part of a request. Returns one handle per row, grouped as `parts`.
+///
+/// A queue refuses its part when admission has closed, or when the part
+/// does not fit next to what is queued. A part larger than the whole
+/// capacity fits only an empty queue, so no request is refused forever.
+///
+/// `trace` is a caller-owned context every row rides under; the caller
+/// completes it (wire requests, when their reply bytes reach the
+/// socket). Without one, each row gets its own trace, born here and
+/// completed by the worker that answers it. `waker` is the wire
+/// listener's, woken by the worker once the replies are sent.
+///
+/// # Errors
+///
+/// * [`ServeError::Overloaded`] — a part did not fit; every row of the
+///   call is counted as shed on that queue's server.
+/// * [`ServeError::ShuttingDown`] — a queue's server is shutting down.
+pub(crate) fn admit_all(
+    parts: &[(&Admitter, &[Row])],
+    deadline: Option<Instant>,
+    trace: Option<&TraceCtx>,
+    waker: Option<&Waker>,
+) -> Result<Vec<Vec<PredictionHandle>>, ServeError> {
+    let Some(&(first, _)) = parts.first() else {
+        return Ok(Vec::new());
+    };
+    if parts.iter().all(|(_, rows)| rows.is_empty()) {
+        return Ok(parts.iter().map(|_| Vec::new()).collect());
     }
+    let _adm = first.profiler.enter("serve.admission");
+    // Channels and traces are built before any queue lock is taken;
+    // `enqueued` is restamped at the push.
+    let built = Instant::now();
+    let mut requests: Vec<Vec<Request>> = Vec::with_capacity(parts.len());
+    let mut handles: Vec<Vec<PredictionHandle>> = Vec::with_capacity(parts.len());
+    for &(admitter, rows) in parts {
+        let (reqs, hs) = rows
+            .iter()
+            .map(|&row| {
+                let (reply, rx) = mpsc::channel();
+                let (trace, complete_in_worker) = match trace {
+                    Some(ctx) => (ctx.clone(), false),
+                    None => (admitter.tracer.start(0), true),
+                };
+                let waker = waker.cloned();
+                let req = Request {
+                    row,
+                    enqueued: built,
+                    deadline,
+                    reply,
+                    trace,
+                    complete_in_worker,
+                    waker,
+                };
+                (req, PredictionHandle { row, rx })
+            })
+            .unzip();
+        requests.push(reqs);
+        handles.push(hs);
+    }
+    let mut guards: Vec<_> = parts
+        .iter()
+        .map(|(admitter, _)| admitter.queue_timer.time(|| lock_state(&admitter.shared)))
+        .collect();
+    let refusal = parts.iter().zip(&guards).find_map(|(&(admitter, rows), st)| {
+        let capacity = admitter.queue_capacity;
+        if st.shutdown {
+            Some((admitter, ServeError::ShuttingDown))
+        } else if st.queue.len() + rows.len() > capacity.max(rows.len()) {
+            Some((admitter, ServeError::Overloaded { queue_depth: st.queue.len(), capacity }))
+        } else {
+            None
+        }
+    });
+    if let Some((admitter, err)) = refusal {
+        drop(guards);
+        if matches!(err, ServeError::Overloaded { .. }) {
+            let shed: usize = parts.iter().map(|(_, rows)| rows.len()).sum();
+            admitter.metrics.shed.fetch_add(shed as u64, Ordering::Relaxed);
+            admitter.obs.add("serve.requests_shed", shed as u64);
+        }
+        // Refused requests are exactly the traces tail sampling must
+        // keep: mark the error, and complete the trace unless its owner
+        // (the connection, or the caller) will.
+        if let Some(req) = requests.iter().flatten().next() {
+            req.trace.mark_error();
+            if req.complete_in_worker {
+                let _ = req.trace.complete();
+            }
+        }
+        return Err(err);
+    }
+    let enqueued = Instant::now();
+    for ((&(admitter, rows), st), reqs) in parts.iter().zip(&mut guards).zip(requests) {
+        st.queue.extend(reqs.into_iter().map(|req| Request { enqueued, ..req }));
+        admitter.metrics.requests.fetch_add(rows.len() as u64, Ordering::Relaxed);
+        admitter.metrics.queue_depth.record(st.queue.len() as u64);
+    }
+    drop(guards);
+    for (admitter, rows) in parts {
+        if !rows.is_empty() {
+            admitter.shared.not_empty.notify_one();
+        }
+    }
+    Ok(handles)
 }
 
 /// A concurrent, micro-batching, hot-swappable prediction server over one
@@ -710,35 +782,21 @@ impl PredictionServer {
     /// [`ServeRequest::shard_hint`] is ignored here (the
     /// [`ShardRouter`](crate::shard::ShardRouter) honors it).
     ///
-    /// Admission is all-or-nothing: the first row that cannot be admitted
-    /// fails the whole call. Rows admitted before the failure are still
-    /// scored and their replies discarded (counted under `serve.errors`) —
-    /// the same contract the wire front end's batches get.
+    /// Admission is all-or-nothing: the rows are queued together in one
+    /// push, or the whole call fails and nothing is queued — the same
+    /// contract the wire front end's batches get.
     ///
     /// # Errors
     ///
-    /// * [`ServeError::Overloaded`] — the queue is full; a row was shed.
-    ///   Back off and retry.
+    /// * [`ServeError::Overloaded`] — the rows do not fit in the queue;
+    ///   all of them were shed. Back off and retry.
     /// * [`ServeError::ShuttingDown`] — [`shutdown`](Self::shutdown) has
     ///   begun.
     pub fn serve(&self, req: ServeRequest) -> Result<Vec<PredictionHandle>, ServeError> {
         let deadline = req.deadline.map(|d| Instant::now() + d);
-        let mut handles = Vec::with_capacity(req.rows.len());
-        match &req.trace {
-            // A caller-owned trace spans all rows; the caller completes it
-            // (the workers only add spans), mirroring the wire front end.
-            Some(ctx) => {
-                for &row in &req.rows {
-                    handles.push(self.admitter.admit_traced(row, deadline, ctx.clone(), false)?);
-                }
-            }
-            None => {
-                for &row in &req.rows {
-                    handles.push(self.admitter.admit(row, deadline)?);
-                }
-            }
-        }
-        Ok(handles)
+        // A caller-owned trace spans all rows; the caller completes it
+        // (the workers only add spans), mirroring the wire front end.
+        self.admitter.admit_batch(&req.rows, deadline, req.trace.as_ref(), None)
     }
 
     /// Synchronous convenience: admit one row and wait for the prediction.
@@ -748,7 +806,8 @@ impl PredictionServer {
     /// Admission errors from [`serve`](Self::serve) plus whatever the
     /// server answered with (see [`PredictionHandle::wait`]).
     pub fn predict(&self, row: Row) -> Result<Prediction, ServeError> {
-        self.admitter.admit(row, None)?.wait()
+        let mut handles = self.admitter.admit_batch(&[row], None, None, None)?;
+        handles.pop().expect("one handle per admitted row").wait()
     }
 
     /// Validates `batch` against the base snapshot (merged with every
@@ -862,12 +921,6 @@ impl PredictionServer {
         Arc::clone(&self.metrics)
     }
 
-    /// The shard's profiler handle (noop unless configured), for the
-    /// router's in-process routing frame.
-    pub(crate) fn profiler(&self) -> &Profiler {
-        &self.config.profiler
-    }
-
     /// The address the telemetry endpoint actually bound, when
     /// [`ServerConfig::telemetry_addr`] was set. Useful with port 0.
     pub fn telemetry_addr(&self) -> Option<SocketAddr> {
@@ -978,6 +1031,9 @@ fn worker_loop(
     let queue_wait_us = config.obs.histogram("serve.queue_wait_us");
     let mut batch: Vec<Request> = Vec::with_capacity(config.max_batch);
     let mut rows: Vec<Row> = Vec::with_capacity(config.max_batch);
+    // The distinct wire listeners this batch answers, woken once its
+    // replies are sent.
+    let mut wakers: Vec<Waker> = Vec::new();
     loop {
         batch.clear();
         rows.clear();
@@ -985,6 +1041,7 @@ fn worker_loop(
             let _wait_frame = config.profiler.enter("serve.wait");
             let mut st = lock_state(shared);
             // Wait for the first request (or a fully-drained shutdown).
+            let mut idle = false;
             loop {
                 if !st.queue.is_empty() {
                     break;
@@ -992,9 +1049,13 @@ fn worker_loop(
                 if st.shutdown {
                     return;
                 }
+                idle = true;
                 st = shared.not_empty.wait(st).unwrap_or_else(PoisonError::into_inner);
             }
-            // Micro-batch: drain until full, shutdown, or the flush deadline.
+            // Micro-batch. An idle worker scores what the wakeup brought
+            // at once: a request is queued in one push, and nothing else
+            // is waiting to batch with it. A worker that found a backlog
+            // drains until full, shutdown, or the flush deadline.
             let flush_deadline = Instant::now() + config.max_wait;
             loop {
                 while batch.len() < config.max_batch {
@@ -1003,7 +1064,7 @@ fn worker_loop(
                         None => break,
                     }
                 }
-                if batch.len() >= config.max_batch || st.shutdown {
+                if idle || batch.len() >= config.max_batch || st.shutdown {
                     break;
                 }
                 let now = Instant::now();
@@ -1018,6 +1079,15 @@ fn worker_loop(
                 if timeout.timed_out() && st.queue.is_empty() {
                     break;
                 }
+            }
+            // One wakeup per request: rows beyond `max_batch` go to a peer.
+            if !st.queue.is_empty() {
+                shared.not_empty.notify_one();
+            }
+        }
+        for waker in batch.iter().filter_map(|req| req.waker.as_ref()) {
+            if !wakers.iter().any(|w| w.same_as(waker)) {
+                wakers.push(waker.clone());
             }
         }
 
@@ -1044,6 +1114,7 @@ fn worker_loop(
             _ => true,
         });
         if batch.is_empty() {
+            wake_listeners(&mut wakers);
             continue;
         }
 
@@ -1178,5 +1249,14 @@ fn worker_loop(
                 scratch = ServeScratch::with_obs(config.obs.clone());
             }
         }
+        wake_listeners(&mut wakers);
+    }
+}
+
+/// Tells each wire listener of a finished batch that its replies are
+/// ready to poll.
+fn wake_listeners(wakers: &mut Vec<Waker>) {
+    for waker in wakers.drain(..) {
+        waker.wake();
     }
 }

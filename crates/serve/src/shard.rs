@@ -46,7 +46,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossmine_net::{Backend, BatchReply, NetListener, NetMetrics, WireReject};
+use crossmine_net::{Backend, BatchReply, NetListener, NetMetrics, Waker, WireReject};
 use crossmine_obs::{Profiler, TraceCtx};
 use crossmine_relational::{Database, DeltaBatch, Row};
 
@@ -57,8 +57,8 @@ use crate::plan::CompiledPlan;
 use crate::registry::ModelRegistry;
 use crate::request::ServeRequest;
 use crate::server::{
-    validate_config, DeltaStats, ExplainedPrediction, Prediction, PredictionHandle,
-    PredictionServer, ServerConfig,
+    admit_all, validate_config, Admitter, DeltaStats, ExplainedPrediction, Prediction,
+    PredictionHandle, PredictionServer, ServerConfig,
 };
 use crate::telemetry::{ShardTelemetry, TelemetryHandle, TelemetryShared};
 
@@ -146,15 +146,56 @@ impl RouterStats {
     }
 }
 
-/// [`Backend`] that routes each row of a wire batch to its shard's
-/// admission queue. Same all-or-nothing contract and reply resolution as
-/// the single-server [`ServeBackend`](crate::net::ServeBackend) — the
-/// resolution state machine is literally shared ([`poll_pending`]).
+/// The router's admission front: routes each row of a request to its
+/// shard's queue, all-or-nothing across shards. Shared by in-process
+/// [`ShardRouter::serve`] and, as a [`Backend`], the wire front end,
+/// whose reply resolution is the single-server
+/// [`ServeBackend`](crate::net::ServeBackend)'s ([`poll_pending`]).
 struct RouterBackend {
-    admitters: Vec<crate::server::Admitter>,
+    admitters: Vec<Admitter>,
     /// Publishes a `shard.route` frame while hashing rows to shards, so
-    /// router fan-out cost shows up in wall samples of the poll thread.
+    /// router fan-out cost shows up in wall samples of the calling thread.
     profiler: Profiler,
+}
+
+impl RouterBackend {
+    /// Admits every row to its shard (or all to `hint`) or none of them,
+    /// through [`admit_all`] with the shards in index order. Handles come
+    /// back one per row in request order.
+    fn admit(
+        &self,
+        rows: &[Row],
+        hint: Option<usize>,
+        deadline: Option<Instant>,
+        trace: Option<&TraceCtx>,
+        waker: Option<&Waker>,
+    ) -> Result<Vec<PredictionHandle>, ServeError> {
+        let _route = self.profiler.enter("shard.route");
+        let n = self.admitters.len();
+        let route: Vec<usize> =
+            rows.iter().map(|&row| hint.unwrap_or_else(|| shard_of_row(row, n))).collect();
+        let mut by_shard: Vec<Vec<Row>> = vec![Vec::new(); n];
+        for (&row, &shard) in rows.iter().zip(&route) {
+            by_shard[shard].push(row);
+        }
+        let parts: Vec<(&Admitter, &[Row])> = self
+            .admitters
+            .iter()
+            .zip(&by_shard)
+            .filter(|(_, rows)| !rows.is_empty())
+            .map(|(admitter, rows)| (admitter, rows.as_slice()))
+            .collect();
+        let mut admitted = admit_all(&parts, deadline, trace, waker)?.into_iter();
+        let mut per_shard: Vec<_> = by_shard
+            .iter()
+            .map(|rows| {
+                let handles =
+                    if rows.is_empty() { Vec::new() } else { admitted.next().unwrap_or_default() };
+                handles.into_iter()
+            })
+            .collect();
+        Ok(route.iter().filter_map(|&shard| per_shard[shard].next()).collect())
+    }
 }
 
 impl Backend for RouterBackend {
@@ -165,18 +206,12 @@ impl Backend for RouterBackend {
         rows: &[Row],
         deadline: Option<Duration>,
         trace: &TraceCtx,
+        waker: &Waker,
     ) -> Result<ServePending, WireReject> {
-        let _route = self.profiler.enter("shard.route");
         let deadline = deadline.map(|d| Instant::now() + d);
-        let mut handles = Vec::with_capacity(rows.len());
-        for &row in rows {
-            let shard = shard_of_row(row, self.admitters.len());
-            match self.admitters[shard].admit_traced(row, deadline, trace.clone(), false) {
-                Ok(handle) => handles.push(handle),
-                Err(e) => return Err(reject_for(&e)),
-            }
-        }
-        Ok(ServePending::from_handles(handles))
+        self.admit(rows, None, deadline, Some(trace), Some(waker))
+            .map(ServePending::from_handles)
+            .map_err(|e| reject_for(&e))
     }
 
     fn poll(&self, pending: &mut ServePending) -> Option<Result<BatchReply, WireReject>> {
@@ -193,6 +228,8 @@ impl Backend for RouterBackend {
 pub struct ShardRouter {
     db: Arc<Database>,
     shards: Vec<PredictionServer>,
+    /// Routes in-process and wire requests alike.
+    router: Arc<RouterBackend>,
     net: Option<NetListener>,
     telemetry: Option<TelemetryHandle>,
     /// Router-level mirror of the shards' admission state for `/healthz`.
@@ -239,6 +276,10 @@ impl ShardRouter {
             shard_config.net = None;
             shards.push(PredictionServer::start(Arc::clone(&db), registry, shard_config)?);
         }
+        let router = Arc::new(RouterBackend {
+            admitters: shards.iter().map(|s| s.admitter().clone()).collect(),
+            profiler: config.profiler.clone(),
+        });
         let net_metrics = config.net.as_ref().map(|_| Arc::new(NetMetrics::default()));
         let telemetry = match config.telemetry_addr {
             Some(addr) => {
@@ -273,10 +314,6 @@ impl ShardRouter {
         };
         let net = match (&config.net, net_metrics) {
             (Some(net_config), Some(net_metrics)) => {
-                let backend = Arc::new(RouterBackend {
-                    admitters: shards.iter().map(|s| s.admitter().clone()).collect(),
-                    profiler: config.profiler.clone(),
-                });
                 let mut net_config = net_config.clone();
                 if !net_config.tracer.is_enabled() {
                     net_config.tracer = config.tracer.clone();
@@ -286,7 +323,7 @@ impl ShardRouter {
                 }
                 match NetListener::start(
                     net_config.clone(),
-                    backend,
+                    Arc::clone(&router),
                     config.obs.clone(),
                     net_metrics,
                 ) {
@@ -306,7 +343,7 @@ impl ShardRouter {
             }
             _ => None,
         };
-        Ok(ShardRouter { db, shards, net, telemetry, admission_closed })
+        Ok(ShardRouter { db, shards, router, net, telemetry, admission_closed })
     }
 
     /// Number of shards.
@@ -324,10 +361,9 @@ impl ShardRouter {
     /// back one per row **in request order** regardless of shard scatter.
     /// A [`ServeRequest::shard_hint`] pins all rows to that shard.
     ///
-    /// Admission is all-or-nothing across shards: the first row any shard
-    /// rejects fails the whole call (rows already admitted elsewhere are
-    /// scored and discarded) — one contract, identical to the single
-    /// server and the wire front end.
+    /// Admission is all-or-nothing across shards: if any shard refuses
+    /// its rows, no shard queues any — one contract, identical to the
+    /// single server and the wire front end.
     ///
     /// # Errors
     ///
@@ -343,21 +379,7 @@ impl ShardRouter {
             }
         }
         let deadline = req.deadline.map(|d| Instant::now() + d);
-        let mut handles = Vec::with_capacity(req.rows.len());
-        // In-process fan-out gets the same routing frame the wire backend
-        // publishes; the first shard's profiler is the router's (every
-        // shard clones the one config).
-        let _route = self.shards[0].profiler().enter("shard.route");
-        for &row in &req.rows {
-            let shard = req.shard_hint.unwrap_or_else(|| shard_of_row(row, n));
-            let admitter = self.shards[shard].admitter();
-            let handle = match &req.trace {
-                Some(ctx) => admitter.admit_traced(row, deadline, ctx.clone(), false)?,
-                None => admitter.admit(row, deadline)?,
-            };
-            handles.push(handle);
-        }
-        Ok(handles)
+        self.router.admit(&req.rows, req.shard_hint, deadline, req.trace.as_ref(), None)
     }
 
     /// Synchronous convenience: route one row and wait for its prediction.

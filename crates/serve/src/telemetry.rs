@@ -366,11 +366,6 @@ impl TelemetryShared {
                 // momentarily exceed accepted.
                 n.accepted.saturating_sub(n.closed) as i64,
             );
-            w.write_gauge(
-                "net.sweep_backoff_us",
-                "current adaptive sweep backoff of the net poll loop",
-                net.sweep_backoff_us.load(Ordering::Relaxed) as i64,
-            );
         }
         // Process-level gauges from /proc/self — independent of whether
         // the profiler (or any obs handle) is enabled, and silently absent
@@ -421,7 +416,6 @@ impl TelemetryShared {
                     "net.bytes_read",
                     "net.bytes_written",
                     "net.open_conns",
-                    "net.sweep_backoff_us",
                 ],
             );
         }
