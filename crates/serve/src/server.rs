@@ -520,13 +520,10 @@ pub(crate) fn admit_all(
     trace: Option<&TraceCtx>,
     waker: Option<&Waker>,
 ) -> Result<Vec<Vec<PredictionHandle>>, ServeError> {
-    let Some(&(first, _)) = parts.first() else {
-        return Ok(Vec::new());
-    };
     if parts.iter().all(|(_, rows)| rows.is_empty()) {
         return Ok(parts.iter().map(|_| Vec::new()).collect());
     }
-    let _adm = first.profiler.enter("serve.admission");
+    let _adm = parts[0].0.profiler.enter("serve.admission");
     // Channels and traces are built before any queue lock is taken;
     // `enqueued` is restamped at the push.
     let built = Instant::now();
