@@ -10,8 +10,9 @@
 //!   representation.
 //!
 //! The first byte of a connection picks the protocol ([`sniff`]). A
-//! single nonblocking poll thread ([`listener`]) owns every socket;
-//! per-connection protocol state is a pure state machine ([`conn`])
+//! single nonblocking poll thread ([`listener`]) owns every socket and
+//! sleeps in epoll until one of them, or the backend's [`Waker`], is
+//! ready; per-connection protocol state is a pure state machine ([`conn`])
 //! that is unit-tested without sockets. The serve crate plugs in as a
 //! [`Backend`] and maps its error taxonomy onto [`WireStatus`] codes —
 //! overload is a typed `429` answered from the admission check, never a

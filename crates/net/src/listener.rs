@@ -157,10 +157,9 @@ impl NetListener {
             let control = Arc::clone(&control);
             let metrics = Arc::clone(&metrics);
             let waker = waker.clone();
-            let ctx = LoopCtx { config, backend, obs, control, metrics, waker };
-            thread::Builder::new()
-                .name("crossmine-net".to_string())
-                .spawn(move || poll_loop(listener, poller, ctx))?
+            thread::Builder::new().name("crossmine-net".to_string()).spawn(move || {
+                poll_loop(listener, poller, waker, config, backend, obs, control, metrics)
+            })?
         };
         Ok(NetListener { addr, control, waker, thread: Some(thread), metrics })
     }
@@ -228,18 +227,17 @@ const PUBLISH_EVERY: Duration = Duration::from_millis(100);
 const SOCKET_TOKEN: u64 = 0;
 const WAKER_TOKEN: u64 = 1;
 
-/// What the poll thread owns besides its sockets.
-struct LoopCtx<B> {
+#[allow(clippy::too_many_arguments)]
+fn poll_loop<B: Backend>(
+    listener: TcpListener,
+    mut poller: Poller,
+    waker: Waker,
     config: NetConfig,
     backend: Arc<B>,
     obs: ObsHandle,
     control: Arc<Control>,
     metrics: Arc<NetMetrics>,
-    waker: Waker,
-}
-
-fn poll_loop<B: Backend>(listener: TcpListener, mut poller: Poller, ctx: LoopCtx<B>) {
-    let LoopCtx { config, backend, obs, control, metrics, waker } = ctx;
+) {
     // Root profile frame held for the poll thread's whole life: every
     // wall sample of this thread lands under `net.poll`, refined by the
     // sniff/parse/write frames pushed inside the sweep.
