@@ -19,8 +19,8 @@
 //! * [`registry`] — **lock-free model hot-swap**: wait-free epoch-stamped
 //!   snapshots; a batch is always scored under exactly one model.
 //! * [`server`] — the **concurrent micro-batching server**: bounded
-//!   all-or-nothing admission queue, worker pool; an idle worker scores
-//!   a lone request at once, a worker facing a backlog flushes on
+//!   all-or-nothing admission queue, worker pool; a worker idle for
+//!   `max_wait` scores a lone request at once, otherwise it flushes on
 //!   `max_batch`/`max_wait`; drain-based shutdown with zero dropped
 //!   requests.
 //! * [`metrics`] — lock-free counters and log₂ latency/batch-size

@@ -4,10 +4,11 @@
 //! pool of `std::thread` workers. Each worker **micro-batches**: it takes
 //! up to `max_batch` waiting requests and scores them with **one**
 //! [`evaluate_batch`] call against **one** [`ModelRegistry`] snapshot. A
-//! worker that was idle — it had to wait for its first request — scores
-//! what it took at once: nothing else is queued to batch with. A worker
-//! that found a backlog keeps draining until `max_batch` requests are in
-//! hand or `max_wait` has elapsed since it started collecting. The
+//! worker that sat idle for at least `max_wait` before its first request
+//! arrived scores what it took at once: requests are arriving further
+//! apart than the linger, so waiting would gather nothing. Otherwise it
+//! keeps draining until `max_batch` requests are in hand or `max_wait`
+//! has elapsed since it started collecting. The
 //! snapshot-per-batch discipline is what makes hot swaps safe: a batch is
 //! never scored under a mix of models, and responses carry the epoch that
 //! scored them.
@@ -99,9 +100,10 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Largest batch one worker scores at once.
     pub max_batch: usize,
-    /// The longest a worker that found a backlog keeps collecting before
-    /// it scores. A worker that was idle scores its first request at
-    /// once and never waits this out.
+    /// How long a worker keeps collecting a batch before it scores. A
+    /// worker that sat idle for at least this long before its first
+    /// request arrived scores at once instead: requests are then arriving
+    /// further apart than the linger, which would gather nothing.
     pub max_wait: Duration,
     /// Admission-queue capacity; a submission whose rows do not all fit
     /// is shed whole with [`ServeError::Overloaded`]. A submission with
@@ -246,9 +248,9 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// The longest a worker that found a backlog keeps collecting before
-    /// it scores; an idle worker scores at once. See
-    /// [`ServerConfig::max_wait`].
+    /// How long a worker keeps collecting a batch before it scores; a
+    /// worker idle for at least this long scores a lone request at once.
+    /// See [`ServerConfig::max_wait`].
     pub fn max_wait(mut self, max_wait: Duration) -> Self {
         self.config.max_wait = max_wait;
         self
@@ -496,8 +498,8 @@ impl Admitter {
 /// `(admitter, rows)` pair bound for its own queue, all together or not
 /// at all; never blocks. The queue locks are taken in slice order, so
 /// callers that list shards in index order cannot deadlock. Each queue
-/// gets one push and one wakeup, so an idle worker never wakes to only
-/// part of a request. Returns one handle per row, grouped as `parts`.
+/// gets one push and one wakeup, so a worker that scores on wakeup never
+/// takes only part of a request. Returns one handle per row, grouped as `parts`.
 ///
 /// A queue refuses its part when admission has closed, or when the part
 /// does not fit next to what is queued. A part larger than the whole
@@ -1038,7 +1040,8 @@ fn worker_loop(
             let _wait_frame = config.profiler.enter("serve.wait");
             let mut st = lock_state(shared);
             // Wait for the first request (or a fully-drained shutdown).
-            let mut idle = false;
+            let waiting_since = Instant::now();
+            let mut lone = false;
             loop {
                 if !st.queue.is_empty() {
                     break;
@@ -1046,13 +1049,17 @@ fn worker_loop(
                 if st.shutdown {
                     return;
                 }
-                idle = true;
                 st = shared.not_empty.wait(st).unwrap_or_else(PoisonError::into_inner);
+                lone = waiting_since.elapsed() >= config.max_wait;
             }
-            // Micro-batch. An idle worker scores what the wakeup brought
-            // at once: a request is queued in one push, and nothing else
-            // is waiting to batch with it. A worker that found a backlog
-            // drains until full, shutdown, or the flush deadline.
+            // Micro-batch. A worker that sat idle for at least `max_wait`
+            // scores what the wakeup brought at once: requests are
+            // arriving further apart than the linger, so waiting it out
+            // would gather nothing and only add latency (a request is
+            // queued in one push, so none is split). A worker that waited
+            // less, or found a backlog, drains until full, shutdown, or
+            // the flush deadline: there the linger pays for itself in
+            // batching.
             let flush_deadline = Instant::now() + config.max_wait;
             loop {
                 while batch.len() < config.max_batch {
@@ -1061,7 +1068,7 @@ fn worker_loop(
                         None => break,
                     }
                 }
-                if idle || batch.len() >= config.max_batch || st.shutdown {
+                if lone || batch.len() >= config.max_batch || st.shutdown {
                     break;
                 }
                 let now = Instant::now();

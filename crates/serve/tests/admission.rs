@@ -7,7 +7,7 @@
 //! the queue deterministically backs up without racing on real load.
 
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crossmine_core::classifier::{CrossMine, CrossMineModel};
 use crossmine_relational::{ClassLabel, Database, Row};
@@ -227,4 +227,22 @@ fn dropped_handles_do_not_wedge_the_server() {
     let report = server.shutdown();
     assert_eq!(report.requests, 2);
     assert_eq!(report.errors, 1, "exactly the abandoned reply");
+}
+
+/// A request that finds the worker idle for longer than `max_wait` is
+/// scored at once: requests are arriving further apart than the linger,
+/// so waiting it out would gather nothing and only add latency.
+#[test]
+fn lone_request_after_an_idle_spell_skips_the_linger() {
+    let f = fixture();
+    let server = start(
+        f,
+        ServerConfig::builder().workers(1).max_wait(Duration::from_millis(200)).build().unwrap(),
+    );
+    std::thread::sleep(Duration::from_millis(300));
+    let started = Instant::now();
+    server.predict(f.rows[0]).expect("scored");
+    let took = started.elapsed();
+    assert!(took < Duration::from_millis(100), "a lone request lingered {took:?}");
+    server.shutdown();
 }

@@ -439,3 +439,46 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
     assert!(response.starts_with("HTTP/1.1 200"), "{path}: {response}");
     response.split("\r\n\r\n").nth(1).unwrap_or("").to_string()
 }
+
+/// A request spanning shards is admitted all-or-nothing: when one shard's
+/// queue has no room for its rows, no shard queues any of the request.
+#[test]
+fn cross_shard_request_is_shed_whole_when_one_shard_is_full() {
+    let f = fixture();
+    let config = ServerConfig::builder()
+        .shards(2)
+        .workers(1)
+        .max_batch(1)
+        .queue_capacity(2)
+        .chaos(ChaosConfig {
+            stall_every: 1,
+            stall_for: Duration::from_millis(200),
+            ..Default::default()
+        })
+        .build()
+        .expect("valid");
+    let router = start_router(f, config);
+    let on = |shard: usize| -> Vec<Row> {
+        f.rows.iter().copied().filter(|&r| router.shard_of(r) == shard).take(3).collect()
+    };
+    let (shard0, shard1) = (on(0), on(1));
+    // Shard 1's worker stalls on an occupier, and two more rows fill its
+    // 2-slot queue; shard 0 stays empty.
+    let mut handles = router.serve(ServeRequest::row(shard1[0])).expect("occupier admitted");
+    std::thread::sleep(Duration::from_millis(50));
+    handles.extend(router.serve(ServeRequest::new(&shard1[1..3])).expect("fills shard 1"));
+    let before = router.stats().total_requests();
+
+    // The shard-0 row comes first, so row-by-row admission would queue it
+    // before shard 1 refused.
+    let err = router.serve(ServeRequest::new(vec![shard0[0], shard1[0]])).unwrap_err();
+    assert!(matches!(err, ServeError::Overloaded { .. }), "{err:?}");
+    assert_eq!(router.stats().total_requests(), before, "no shard queued a row of it");
+
+    for h in handles {
+        h.wait().expect("admitted rows are scored");
+    }
+    let stats = router.shutdown();
+    assert_eq!(stats.total_requests(), 3);
+    assert_eq!(stats.total_errors(), 0, "a shed request leaves no undeliverable replies");
+}
