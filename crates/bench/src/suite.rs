@@ -2,10 +2,10 @@
 //!
 //! [`run_suite`] executes a pinned suite of end-to-end benchmarks —
 //! learner fits on the §7.1 synthetic workloads, a warm tuple-ID
-//! propagation pass, the serve-layer batched evaluator, and the
-//! prediction server's end-to-end latency under client load — and folds
-//! each into a [`BenchSample`]: the **median of N runs** plus the **median
-//! absolute deviation (MAD)** as a noise band. The whole suite serializes
+//! propagation pass, the serve-layer batched evaluator (all rows and
+//! single rows), and the prediction server's end-to-end latency under
+//! client load — and folds each into a [`BenchSample`]: the **median of
+//! N runs** plus the **median absolute deviation (MAD)** as a noise band. The whole suite serializes
 //! to a schema-versioned JSON document (`BENCH_crossmine.json`) carrying a
 //! machine fingerprint, and [`check`] compares a fresh run against such a
 //! committed baseline:
@@ -401,6 +401,34 @@ pub fn run_suite(config: &SuiteConfig, mut progress: impl FnMut(&str)) -> BenchR
             std::hint::black_box(labels.len());
         }
         let sample = sample_from("serve.eval_batch.R5.T200.F3", "us", runs);
+        progress(&format!(
+            "{:<32} median {:.1} us (mad {:.1})",
+            sample.name, sample.median, sample.mad
+        ));
+        results.push(sample);
+    }
+
+    // -- Serve: batch-1 evaluation, the serving case ---------------------
+    // One call takes microseconds, so a sample is the median of two passes
+    // of single-row calls over every target row.
+    if wants(config, "serve.eval_batch.b1.R5.T200.F3") {
+        let mut scratch = ServeScratch::new();
+        for &row in &rows {
+            std::hint::black_box(evaluate_batch(&plan, &db, &[row], &mut scratch));
+        }
+        let mut runs = Vec::with_capacity(config.samples);
+        let mut calls = Vec::with_capacity(2 * rows.len());
+        for _ in 0..config.samples {
+            calls.clear();
+            for &row in rows.iter().chain(&rows) {
+                let start = Instant::now();
+                let labels = evaluate_batch(&plan, &db, &[row], &mut scratch);
+                calls.push(start.elapsed().as_secs_f64() * 1e6);
+                std::hint::black_box(labels);
+            }
+            runs.push(median(&calls));
+        }
+        let sample = sample_from("serve.eval_batch.b1.R5.T200.F3", "us", runs);
         progress(&format!(
             "{:<32} median {:.1} us (mad {:.1})",
             sample.name, sample.median, sample.mad

@@ -11,6 +11,7 @@ use crossmine_relational::{ClassLabel, DatabaseSchema, Row, TupleSource};
 
 use crate::clause::Clause;
 use crate::explain::{ClauseFire, LiteralMatch, RowExplanation};
+use crate::frontier::{SparseScratch, SPARSE_DENSITY};
 use crate::idset::{Stamp, TargetSet};
 use crate::propagation::{ClauseState, PathScratch, PropStats};
 
@@ -108,19 +109,26 @@ impl Sink for FireSink {
 }
 
 /// Buffers [`evaluate`] reuses across calls: positivity dummies and the
-/// distinct-counting stamp, sized to the target relation, and the CSR
-/// buffers for prop-paths.
+/// distinct-counting stamp, sized to the target relation, the CSR
+/// buffers for dense prop-paths, the frontier buffers for sparse ones,
+/// and the batch's slot order, live rows and fired rows.
 #[derive(Debug, Clone, Default)]
 pub struct EvalScratch {
     is_pos: Vec<bool>,
     stamp: Stamp,
     path: PathScratch,
+    sparse: SparseScratch,
+    by_row: Vec<usize>,
+    live: Vec<Row>,
+    fired: Vec<Row>,
 }
 
 impl EvalScratch {
-    /// Returns and resets the propagation counters.
+    /// Returns and resets the propagation counters of both states.
     pub fn take_stats(&mut self) -> PropStats {
-        self.path.take_stats()
+        let mut stats = self.path.take_stats();
+        stats.merge(self.sparse.take_stats());
+        stats
     }
 }
 
@@ -129,6 +137,12 @@ impl EvalScratch {
 /// tuple-ID propagation along each literal's prop-path decides every live
 /// row at once; a row listed at several slots is propagated once and fires
 /// for every slot holding it. Returns the number of clauses evaluated.
+///
+/// Each clause runs on one of two states with identical answers: the
+/// dense [`ClauseState`], which annotates every tuple, or a frontier over
+/// the tuples joinable with the live rows only, chosen when the live rows
+/// are at most an eighth of the target relation. A serving batch thus
+/// costs its join neighbourhood, not the database.
 ///
 /// # Errors
 ///
@@ -145,41 +159,62 @@ pub fn evaluate<S: TupleSource, K: Sink>(
     sink: &mut K,
     scratch: &mut EvalScratch,
 ) -> Result<usize, S::Error> {
-    let num_targets = src.num_rows(schema.target().expect("schema must have a target relation"));
+    let target = schema.target().expect("schema must have a target relation");
+    let num_targets = src.num_rows(target);
     if scratch.is_pos.len() != num_targets {
         scratch.is_pos = vec![false; num_targets];
         scratch.stamp = Stamp::new(num_targets);
+        scratch.sparse.resize(num_targets);
     }
-    let EvalScratch { is_pos, stamp, path } = scratch;
+    let EvalScratch { is_pos, stamp, path, sparse, by_row, live, fired } = scratch;
+    if let Some(r) = rows.iter().find(|r| r.0 as usize >= num_targets) {
+        panic!("row {} is outside the target relation of {num_targets} rows", r.0);
+    }
 
     // Slots ordered by row: each row's slots form one run, walked in step
-    // with the ascending surviving targets.
-    let mut by_row: Vec<usize> = (0..rows.len()).collect();
+    // with the ascending rows that fire.
+    by_row.clear();
+    by_row.extend(0..rows.len());
     by_row.sort_by_key(|&slot| rows[slot]);
-    let mut live = TargetSet::from_rows(is_pos, rows.iter().copied());
+    live.clear();
+    live.extend(by_row.iter().map(|&slot| rows[slot]));
+    live.dedup();
     let mut evaluated = 0;
     for (ci, clause) in clauses.iter().enumerate() {
         if live.is_empty() {
             break;
         }
         evaluated += 1;
-        let mut state = ClauseState::over(src, schema, is_pos, live.clone());
-        for lit in &clause.literals {
-            state.try_apply_literal(lit, stamp, path)?;
-            if state.targets.is_empty() {
-                break;
+        fired.clear();
+        if live.len() * SPARSE_DENSITY <= num_targets {
+            sparse.clause(src, schema, clause, live, fired)?;
+        } else {
+            let initial = TargetSet::from_rows(is_pos, live.iter().copied());
+            let mut state = ClauseState::over(src, schema, is_pos, initial);
+            for lit in &clause.literals {
+                state.try_apply_literal(lit, stamp, path)?;
+                if state.targets.is_empty() {
+                    break;
+                }
             }
+            fired.extend(state.targets.iter());
         }
         let mut slots = by_row.iter().copied().peekable();
-        for r in state.targets.iter() {
+        for &r in fired.iter() {
             while let Some(slot) = slots.next_if(|&s| rows[s] <= r) {
                 if rows[slot] == r {
                     sink.fire(slot, ci);
                 }
             }
-            if K::FIRST_FIRE_ONLY {
-                live.remove(r.0, is_pos);
-            }
+        }
+        if K::FIRST_FIRE_ONLY && !fired.is_empty() {
+            // `fired` is an ascending subset of the ascending `live`.
+            let mut next = 0;
+            live.retain(|&r| {
+                let hit = fired.get(next) == Some(&r);
+                next += usize::from(hit);
+                !hit
+            });
         }
     }
     Ok(evaluated)

@@ -47,6 +47,7 @@ pub mod eval;
 pub mod evaluate;
 pub mod explain;
 pub mod features;
+mod frontier;
 pub mod gain;
 pub mod idset;
 pub mod learner;

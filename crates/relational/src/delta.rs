@@ -447,6 +447,27 @@ impl TupleSource for MergedView<'_> {
         Ok(Cow::Owned(merged))
     }
 
+    /// Answers each row from the base column, a patch or the tail, without
+    /// copying the column.
+    fn values(
+        &self,
+        rel: RelId,
+        attr: AttrId,
+        rows: &[Row],
+        out: &mut Vec<Value>,
+    ) -> std::result::Result<(), Infallible> {
+        let base = self.base.relation(rel).column(attr);
+        let tail = self.delta.tails[rel.0].column(attr);
+        let patches = &self.delta.patches[rel.0];
+        out.clear();
+        out.extend(rows.iter().map(|&Row(r)| match base.get(r as usize) {
+            None => tail[r as usize - base.len()],
+            Some(&v) if patches.is_empty() => v,
+            Some(&v) => patches.get(&(r, attr.0)).copied().unwrap_or(v),
+        }));
+        Ok(())
+    }
+
     fn keys(&self, rel: RelId, attr: AttrId) -> std::result::Result<MergedKeys<'_>, Infallible> {
         Ok(MergedKeys {
             base: self.base.key_index(rel, attr),
@@ -508,6 +529,29 @@ mod tests {
             Value::Num(12.0),
             Value::Num(100.0),
         ]
+    }
+
+    #[test]
+    fn gathered_values_match_the_merged_column() {
+        let db = fig2_loan_account();
+        let (loan, _) = ids(&db);
+        let mut batch = DeltaBatch::new();
+        batch.insert_labeled(loan, loan_tuple(6, 124, 700.0), ClassLabel::POS);
+        batch.update(loan, Row(1), AttrId(2), Value::Num(1.5));
+        let delta = DeltaOverlay::build(&db, &batch).unwrap();
+        let view = delta.view(&db);
+        // A tail row, a patched row, an untouched row, and a repeat.
+        let rows = [Row(5), Row(1), Row(0), Row(1)];
+        for attr in [AttrId(1), AttrId(2)] {
+            let Ok(column) = view.column(loan, attr);
+            let mut got = vec![Value::Null];
+            let Ok(()) = view.values(loan, attr, &rows, &mut got);
+            let want: Vec<Value> = rows.iter().map(|r| column[r.0 as usize]).collect();
+            assert_eq!(got, want);
+        }
+        let mut amounts = Vec::new();
+        let Ok(()) = view.values(loan, AttrId(2), &rows, &mut amounts);
+        assert_eq!(amounts[..2], [Value::Num(700.0), Value::Num(1.5)]);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Read-only tuple access for clause evaluation.
 //!
 //! Evaluating a clause (§5.3) reads a database three ways: a relation's
-//! tuple count, one column's values, and the tuples carrying a key value
-//! (to follow a join edge, §4). [`TupleSource`] names exactly those, so
+//! tuple count, one column's values (whole, or gathered at some rows),
+//! and the tuples carrying a key value (to follow a join edge, §4).
+//! [`TupleSource`] names exactly those, so
 //! `crossmine-core` writes the evaluator once and §8's disk-resident
 //! operation is the same evaluator over another source. [`Database`] and
 //! the delta [`MergedView`](crate::delta::MergedView) cannot fail to read
@@ -32,6 +33,23 @@ pub trait TupleSource {
     /// Column `attr` of `rel`, in row order: borrowed where the source
     /// holds it in memory, read in one sequential scan otherwise.
     fn column(&self, rel: RelId, attr: AttrId) -> Result<Cow<'_, [Value]>, Self::Error>;
+
+    /// The values of column `attr` of `rel` at `rows`, in the order given,
+    /// into `out` (cleared first). The default reads the whole
+    /// [`column`](TupleSource::column) once, so a caller gathering once per
+    /// column reads no more than one that takes the column.
+    fn values(
+        &self,
+        rel: RelId,
+        attr: AttrId,
+        rows: &[Row],
+        out: &mut Vec<Value>,
+    ) -> Result<(), Self::Error> {
+        let column = self.column(rel, attr)?;
+        out.clear();
+        out.extend(rows.iter().map(|r| column[r.0 as usize]));
+        Ok(())
+    }
 
     /// The rows of `rel` by value of its key column `attr`.
     fn keys(&self, rel: RelId, attr: AttrId) -> Result<Self::Keys<'_>, Self::Error>;

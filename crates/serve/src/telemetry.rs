@@ -22,12 +22,12 @@
 //! * `GET /buildinfo` — JSON build + process metadata: version, git SHA,
 //!   uptime, current model epoch, swap count.
 //!
-//! The thread polls a nonblocking accept loop (5 ms idle sleep — scrape
-//! endpoints are latency-insensitive) and exits when the owning
-//! [`PredictionServer`] is shut down or dropped. It intentionally keeps
-//! serving *during* the drain phase so an external prober watching
-//! `/healthz` observes the `shutting-down` state instead of a vanished
-//! endpoint.
+//! The thread blocks in `accept`, so an idle endpoint costs no wakeups,
+//! and exits when the owning [`PredictionServer`] is shut down or
+//! dropped: stopping sets a flag and wakes the thread with a loopback
+//! connect to its own address. It intentionally keeps serving *during*
+//! the drain phase so an external prober watching `/healthz` observes the
+//! `shutting-down` state instead of a vanished endpoint.
 //!
 //! [`ServerConfig::telemetry_addr`]: crate::server::ServerConfig::telemetry_addr
 //! [`PredictionServer`]: crate::server::PredictionServer
@@ -35,7 +35,7 @@
 //! [`ObsHandle`]: crossmine_obs::ObsHandle
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -540,7 +540,6 @@ impl TelemetryHandle {
         shared: Arc<TelemetryShared>,
     ) -> std::io::Result<TelemetryHandle> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let bound = listener.local_addr()?;
         let thread_shared = Arc::clone(&shared);
         let thread = std::thread::Builder::new()
@@ -549,11 +548,23 @@ impl TelemetryHandle {
         Ok(TelemetryHandle { shared, addr: bound, thread: Some(thread) })
     }
 
-    /// Stops the accept loop and joins the thread.
+    /// Stops the accept loop and joins the thread. The thread blocks in
+    /// `accept`, so a connect to the bound address wakes it to see the
+    /// flag; if that connect fails the thread is left detached rather
+    /// than joined forever.
     pub(crate) fn stop(&mut self) {
         self.shared.stop.store(true, Ordering::Release);
         if let Some(t) = self.thread.take() {
-            let _ = t.join();
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            if TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_ok() {
+                let _ = t.join();
+            }
         }
     }
 }
@@ -569,14 +580,18 @@ fn accept_loop(listener: &TcpListener, shared: &TelemetryShared) {
     // `degraded` only when events occurred since the last probe, so a
     // single historical shed doesn't condemn the server forever.
     let mut prev_degradations = 0u64;
-    while !shared.stop.load(Ordering::Acquire) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // The stop flag is set before the waking connect, so the wake
+        // (or any connection racing it) ends the loop unanswered.
+        if shared.stop.load(Ordering::Acquire) {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => handle_connection(stream, shared, &mut prev_degradations),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
             // Transient accept errors (e.g. aborted handshakes) are not
-            // worth killing the endpoint over.
+            // worth killing the endpoint over; back off so a persistent
+            // one (descriptor exhaustion) does not spin.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }

@@ -118,8 +118,9 @@ fn profile_routes_serve_collapsed_stacks_flamegraph_and_heap() {
     let (server, rows, addr) = start_server(profiler.clone());
 
     // Drive enough traffic that the wall sampler catches the workers in
-    // their scoring region; force extra sweeps so the test never races
-    // the sampling cadence.
+    // their scoring region, often enough for the eval frame to be wide
+    // enough to draw; force extra sweeps so the test never races the
+    // sampling cadence.
     let deadline = Instant::now() + Duration::from_secs(20);
     loop {
         for &row in rows.iter().take(32) {
@@ -127,7 +128,9 @@ fn profile_routes_serve_collapsed_stacks_flamegraph_and_heap() {
             profiler.sample_now();
         }
         let collapsed = profiler.collapsed();
-        if collapsed.contains("serve.worker;serve.batch;serve.eval") {
+        if collapsed.contains("serve.worker;serve.batch;serve.eval")
+            && profiler.flamegraph_svg().contains("serve.eval")
+        {
             break;
         }
         assert!(
