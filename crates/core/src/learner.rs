@@ -11,6 +11,13 @@
 //! prop-path length ascending, unit enumeration index ascending) that is
 //! exactly the serial loop's first-wins tie-breaking, so any
 //! [`CrossMineParams::num_threads`] setting learns byte-identical clauses.
+//!
+//! One walker scores every unit, whatever its counts come from: a
+//! count-store hit, a fresh entry propagated from the key's superset
+//! source and queued for insert, or — with the store off
+//! (`stats_cache_budget_bytes == 0`) — the live propagation scored in
+//! place. Each source supplies the annotation look-one-ahead propagates
+//! from, the fan-out test, and the scorer.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -83,15 +90,32 @@ impl SearchScratch {
     }
 }
 
+/// One search unit: the prop-path it scores (empty for a constraint on the
+/// active relation itself, one edge, or two for look-one-ahead), its serial
+/// enumeration index for deterministic reduction, and, with the count store
+/// on, its lookup resolved in the round's single locked pass.
+struct Unit {
+    index: usize,
+    path: Vec<JoinEdge>,
+    /// The relation the unit's constraint lands on.
+    rel: RelId,
+    /// Whether aggregation literals are scored: not when the params turn
+    /// them off, nor for a target tuple aggregated over itself.
+    aggs: bool,
+    prep: Option<Prepared>,
+}
+
 /// One independent group of search units: an active relation's local
 /// constraint scan, or one outgoing edge together with its look-one-ahead
-/// extensions (which reuse the group's first-hop propagation). `unit` fields
-/// record the serial enumeration index used for deterministic reduction.
-enum UnitGroup {
-    /// Constraint on the active relation itself (empty prop-path).
-    Local { rel: RelId, unit: usize },
-    /// Propagation across `edge` plus its look-one-ahead second hops.
-    Edge { edge: JoinEdge, unit: usize, lookahead: Vec<(JoinEdge, usize)> },
+/// extensions, which propagate from the head's annotation (computed once
+/// per group, exactly as in the serial loop).
+struct UnitGroup {
+    /// The active relation the group starts from.
+    source: RelId,
+    /// The local unit, or the first-hop edge unit.
+    head: Unit,
+    /// Look-one-ahead second hops (edge groups only).
+    lookahead: Vec<Unit>,
 }
 
 /// A scored literal tagged with its unit index for the total order.
@@ -101,21 +125,10 @@ struct Candidate {
     score: ScoredConstraint,
 }
 
-/// One count-store lookup resolved during the single locked prepare pass:
-/// the canonical key plus the entry, when cached.
+/// One count-store lookup: the canonical key plus the entry, when cached.
 struct Prepared {
     key: PathKey,
     entry: Option<Arc<CachedEntry>>,
-}
-
-/// A [`UnitGroup`]'s count-store plan: one lookup per search unit, resolved
-/// up front so workers touch no lock on the hit path.
-enum GroupPlan {
-    /// Plan for [`UnitGroup::Local`].
-    Local(Prepared),
-    /// Plan for [`UnitGroup::Edge`]: the first hop plus one lookup per
-    /// look-one-ahead second hop.
-    Edge { hop1: Prepared, lookahead: Vec<Prepared> },
 }
 
 /// A freshly computed entry awaiting insertion, tagged with its unit index:
@@ -125,6 +138,54 @@ struct PendingInsert {
     unit: usize,
     key: PathKey,
     entry: Arc<CachedEntry>,
+}
+
+/// Where one unit's annotation and counts come from.
+enum ScoreSource<'a> {
+    /// The live propagation, scored in place (count store off).
+    Live(AnnView<'a>),
+    /// A count-store entry: a hit, or a fresh one queued for insert.
+    Entry(Arc<CachedEntry>),
+}
+
+impl ScoreSource<'_> {
+    /// The annotation look-one-ahead propagates from.
+    fn view(&self) -> AnnView<'_> {
+        match self {
+            ScoreSource::Live(view) => *view,
+            ScoreSource::Entry(entry) => entry.view(),
+        }
+    }
+
+    /// The §4.3 fan-out. An entry is a superset of the live annotation, so
+    /// its fan-out *filtered through the live targets* equals the live
+    /// `avg_fanout`: both sources make the same skip decisions.
+    fn fanout(&self, targets: &TargetSet) -> f64 {
+        match self {
+            ScoreSource::Live(view) => view.avg_fanout(),
+            ScoreSource::Entry(entry) => filtered_fanout(entry.view(), targets),
+        }
+    }
+
+    /// The best constraint of `unit` under `learner`'s search context.
+    fn score(
+        &self,
+        learner: &ClauseLearner<'_>,
+        unit: &Unit,
+        targets: &TargetSet,
+        stamp: &mut Stamp,
+    ) -> Option<ScoredConstraint> {
+        let ClauseLearner { db, params, is_pos, .. } = learner;
+        let (rel, aggs) = (unit.rel, unit.aggs);
+        match self {
+            ScoreSource::Live(view) => {
+                best_constraint_in(db, rel, *view, targets, is_pos, stamp, params, aggs)
+            }
+            ScoreSource::Entry(entry) => {
+                best_constraint_cached(db, rel, entry, targets, is_pos, stamp, params, aggs)
+            }
+        }
+    }
 }
 
 /// The deterministic reduction order: gain descending (`total_cmp`, exact),
@@ -299,83 +360,50 @@ impl<'a> ClauseLearner<'a> {
     ) -> Option<ScoredLiteral> {
         let obs = &self.params.obs;
         let _search = obs.span("search.find_best_literal");
-        let groups = self.enumerate_units(state);
+        let mut groups = self.enumerate_units(state);
         obs.add("search.unit_groups", groups.len() as u64);
         let num_workers = scratch.workers.len().min(groups.len()).max(1);
         let budget = self.params.stats_cache_budget_bytes;
-        // One locked pass resolves every count-store key for this round, in
-        // group/unit order (deterministic LRU recency); the per-group hit
-        // path below is then lock-free.
-        let plans: Option<Vec<GroupPlan>> =
-            (budget > 0).then(|| self.prepare_plans(state, &groups));
+        if budget > 0 {
+            self.prepare(state, &mut groups);
+        }
 
-        let (best, mut pending) = if num_workers == 1 {
-            let ws = &mut scratch.workers[0];
+        let next = AtomicUsize::new(0);
+        let work = |ws: &mut WorkerScratch| {
             let mut best = None;
             let mut pending = Vec::new();
-            match &plans {
-                None => {
-                    for group in &groups {
-                        self.evaluate_group(state, group, ws, &mut best);
-                    }
-                }
-                Some(plans) => {
-                    for (group, plan) in groups.iter().zip(plans) {
-                        self.evaluate_group_cached(state, group, plan, ws, &mut best, &mut pending);
-                    }
-                }
+            while let Some(group) = groups.get(next.fetch_add(1, Ordering::Relaxed)) {
+                self.walk_group(state, group, ws, &mut best, &mut pending);
             }
             (best, pending)
+        };
+        let results: Vec<(Option<Candidate>, Vec<PendingInsert>)> = if num_workers == 1 {
+            vec![work(&mut scratch.workers[0])]
         } else {
-            let next = AtomicUsize::new(0);
-            let groups = &groups;
-            let plans_ref = plans.as_deref();
-            let results: Vec<(Option<Candidate>, Vec<PendingInsert>)> = std::thread::scope(|s| {
+            let work = &work;
+            std::thread::scope(|s| {
                 let handles: Vec<_> = scratch
                     .workers
                     .iter_mut()
                     .take(num_workers)
-                    .map(|ws| {
-                        let next = &next;
-                        s.spawn(move || {
-                            let mut best = None;
-                            let mut pending = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(group) = groups.get(i) else { break };
-                                match plans_ref {
-                                    None => self.evaluate_group(state, group, ws, &mut best),
-                                    Some(plans) => self.evaluate_group_cached(
-                                        state,
-                                        group,
-                                        &plans[i],
-                                        ws,
-                                        &mut best,
-                                        &mut pending,
-                                    ),
-                                }
-                            }
-                            (best, pending)
-                        })
-                    })
+                    .map(|ws| s.spawn(move || work(ws)))
                     .collect();
                 handles
                     .into_iter()
                     .map(|h| h.join().expect("literal-search worker panicked"))
                     .collect()
-            });
-            let mut best = None;
-            let mut pending = Vec::new();
-            for (cand, worker_pending) in results {
-                if let Some(cand) = cand {
-                    reduce(&mut best, cand);
-                }
-                pending.extend(worker_pending);
-            }
-            (best, pending)
+            })
         };
+        let mut best = None;
+        let mut pending = Vec::new();
+        for (cand, worker_pending) in results {
+            if let Some(cand) = cand {
+                reduce(&mut best, cand);
+            }
+            pending.extend(worker_pending);
+        }
 
-        if plans.is_some() {
+        if budget > 0 {
             // Insert this round's fresh entries in unit order so store
             // contents (and eviction order) don't depend on scheduling.
             pending.sort_by_key(|p| p.unit);
@@ -407,18 +435,21 @@ impl<'a> ClauseLearner<'a> {
     }
 
     /// Flattens Algorithm 3's scan into independent unit groups, assigning
-    /// each search unit its serial enumeration index. Look-one-ahead units
-    /// stay in their first edge's group so the first-hop propagation is
-    /// computed once and shared, exactly as in the serial loop.
+    /// each search unit its serial enumeration index.
     fn enumerate_units(&self, state: &ClauseState<'_>) -> Vec<UnitGroup> {
         let mut groups = Vec::new();
         let mut next_unit = 0usize;
-        for rel in state.active_relations() {
-            groups.push(UnitGroup::Local { rel, unit: next_unit });
+        let mut unit = |rel: RelId, path: Vec<JoinEdge>| {
             next_unit += 1;
+            let aggs =
+                self.params.aggregation_literals && (!path.is_empty() || rel != state.target_rel());
+            Unit { index: next_unit - 1, path, rel, aggs, prep: None }
+        };
+        for rel in state.active_relations() {
+            let head = unit(rel, Vec::new());
+            groups.push(UnitGroup { source: rel, head, lookahead: Vec::new() });
             for edge in self.graph.edges_from(rel) {
-                let unit = next_unit;
-                next_unit += 1;
+                let head = unit(edge.to, vec![*edge]);
                 let mut lookahead = Vec::new();
                 if self.params.look_one_ahead {
                     for edge2 in self.graph.edges_from(edge.to) {
@@ -428,117 +459,138 @@ impl<'a> ClauseLearner<'a> {
                         if edge2.from_attr == edge.to_attr {
                             continue; // k' ≠ k: don't reuse the arrival key
                         }
-                        lookahead.push((*edge2, next_unit));
-                        next_unit += 1;
+                        lookahead.push(unit(edge2.to, vec![*edge, *edge2]));
                     }
                 }
-                groups.push(UnitGroup::Edge { edge: *edge, unit, lookahead });
+                groups.push(UnitGroup { source: rel, head, lookahead });
             }
         }
         groups
     }
 
-    /// Evaluates one unit group with one worker's buffers, folding any
-    /// candidates into `best` under the deterministic order.
-    fn evaluate_group(
+    /// Resolves every unit's count-store lookup in one locked pass (see
+    /// [`crate::stats::StatsCache::prepare`]), in unit order.
+    fn prepare(&self, state: &ClauseState<'_>, groups: &mut [UnitGroup]) {
+        let units: Vec<(SourceSig, &mut Unit)> = groups
+            .iter_mut()
+            .flat_map(|g| {
+                let source = self.source_sig(state, g.source);
+                std::iter::once(&mut g.head).chain(&mut g.lookahead).map(move |u| (source, u))
+            })
+            .collect();
+        let keys: Vec<PathKey> = units
+            .iter()
+            .map(|(source, unit)| PathKey { source: *source, path: unit.path.clone() })
+            .collect();
+        let entries = self.params.stats.prepare(self.db.cache_stamp(), &keys);
+        for (((_, unit), key), entry) in units.into_iter().zip(keys).zip(entries) {
+            unit.prep = Some(Prepared { key, entry });
+        }
+    }
+
+    /// Algorithm 3 over one unit group with one worker's buffers: scores the
+    /// head, skips the whole group when the head exceeds the fan-out bound
+    /// (the serial loop `continue`s past the lookahead too), then scores
+    /// each look-one-ahead hop propagated from the head's annotation.
+    fn walk_group(
         &self,
         state: &ClauseState<'_>,
         group: &UnitGroup,
         ws: &mut WorkerScratch,
         best: &mut Option<Candidate>,
+        pending: &mut Vec<PendingInsert>,
     ) {
         let obs = &self.params.obs;
         let _candidate = obs.span("search.candidate_relation");
-        match group {
-            // (1) Constraint on the active relation itself (empty prop-path).
-            UnitGroup::Local { rel, unit } => {
-                let ann = state.annotation(*rel).expect("active relation has annotation");
-                let allow_agg = *rel != state.target_rel();
-                if let Some(score) = best_constraint_in(
-                    self.db,
-                    *rel,
-                    ann,
-                    &state.targets,
-                    &self.is_pos,
-                    &mut ws.stamp,
-                    self.params,
-                    allow_agg,
-                ) {
-                    let literal = ComplexLiteral::local(score.constraint.clone());
-                    reduce(best, Candidate { unit: *unit, literal, score });
-                }
-            }
-            // (2) Propagate across the edge, then (3) look one ahead.
-            UnitGroup::Edge { edge, unit, lookahead } => {
-                let from = state
-                    .annotation(edge.from)
-                    .expect("propagation must start from an active relation");
-                ws.hop1.propagate_from(self.db, from.view(), edge);
-                if self.fanout_exceeded(ws.hop1.view()) {
-                    return; // serial loop `continue`s past the lookahead too
-                }
-                if let Some(score) = best_constraint_in(
-                    self.db,
-                    edge.to,
-                    ws.hop1.view(),
-                    &state.targets,
-                    &self.is_pos,
-                    &mut ws.stamp,
-                    self.params,
-                    true,
-                ) {
-                    let literal =
-                        ComplexLiteral { path: vec![*edge], constraint: score.constraint.clone() };
-                    reduce(best, Candidate { unit: *unit, literal, score });
-                }
-                let _lookahead = if lookahead.is_empty() {
-                    crossmine_obs::SpanGuard::disabled()
-                } else {
-                    obs.add("search.lookahead_units", lookahead.len() as u64);
-                    obs.span("search.look_one_ahead")
-                };
-                for (edge2, unit2) in lookahead {
-                    ws.hop2.propagate_from(self.db, ws.hop1.view(), edge2);
-                    if self.fanout_exceeded(ws.hop2.view()) {
-                        continue;
-                    }
-                    if let Some(score) = best_constraint_in(
-                        self.db,
-                        edge2.to,
-                        ws.hop2.view(),
-                        &state.targets,
-                        &self.is_pos,
-                        &mut ws.stamp,
-                        self.params,
-                        true,
-                    ) {
-                        let literal = ComplexLiteral {
-                            path: vec![*edge, *edge2],
-                            constraint: score.constraint.clone(),
-                        };
-                        reduce(best, Candidate { unit: *unit2, literal, score });
-                    }
-                }
-            }
+        let WorkerScratch { stamp, hop1, hop2 } = ws;
+        let origin = self.origin(state, group.source, group.head.prep.as_ref());
+        let head = self.score_source(state, &group.head, origin, hop1, pending);
+        if !self.score_unit(state, &group.head, &head, stamp, best) {
+            return;
+        }
+        let _lookahead = if group.lookahead.is_empty() {
+            crossmine_obs::SpanGuard::disabled()
+        } else {
+            obs.add("search.lookahead_units", group.lookahead.len() as u64);
+            obs.span("search.look_one_ahead")
+        };
+        for unit in &group.lookahead {
+            let source = self.score_source(state, unit, head.view(), hop2, pending);
+            self.score_unit(state, unit, &source, stamp, best);
         }
     }
 
-    fn fanout_exceeded(&self, ann: AnnView<'_>) -> bool {
-        match self.params.max_fanout {
-            Some(limit) => ann.avg_fanout() > limit as f64,
-            None => false,
+    /// Where `unit`'s counts come from: its count-store hit; else the
+    /// propagation of `origin` across the unit's last edge (through
+    /// `scratch`), scored in place when the store is off, or built into a
+    /// fresh entry queued for insert on a miss. `origin` is a superset of
+    /// the live annotation on a miss, and propagation commutes with target
+    /// restriction, so the entry is superset-valid too.
+    fn score_source<'s>(
+        &self,
+        state: &ClauseState<'_>,
+        unit: &Unit,
+        origin: AnnView<'s>,
+        scratch: &'s mut PropagationScratch,
+        pending: &mut Vec<PendingInsert>,
+    ) -> ScoreSource<'s> {
+        if let Some(Prepared { entry: Some(entry), .. }) = &unit.prep {
+            return ScoreSource::Entry(Arc::clone(entry));
         }
+        let view = match unit.path.last() {
+            Some(edge) => {
+                scratch.propagate_from(self.db, origin, edge);
+                scratch.view()
+            }
+            None => origin,
+        };
+        let Some(prep) = &unit.prep else {
+            return ScoreSource::Live(view);
+        };
+        // Tables are only worth building when this round will score them; a
+        // fan-out-exceeded propagation caches just the CSR so the skip
+        // itself replays for free.
+        let exceeded =
+            !unit.path.is_empty() && self.fanout_exceeded(filtered_fanout(view, &state.targets));
+        let entry = Arc::new(CachedEntry::build(
+            self.db,
+            unit.rel,
+            view,
+            &self.all_targets,
+            !exceeded,
+            unit.aggs,
+        ));
+        pending.push(PendingInsert {
+            unit: unit.index,
+            key: prep.key.clone(),
+            entry: Arc::clone(&entry),
+        });
+        ScoreSource::Entry(entry)
     }
 
-    /// The §4.3 fan-out check against a count-store entry: the entry is a
-    /// superset of the live annotation, so its fan-out *filtered through the
-    /// live targets* equals the live `avg_fanout` — same skip decisions as
-    /// the uncached path.
-    fn filtered_fanout_exceeded(&self, ann: AnnView<'_>, targets: &TargetSet) -> bool {
-        match self.params.max_fanout {
-            Some(limit) => filtered_fanout(ann, targets) > limit as f64,
-            None => false,
+    /// Scores `unit` from `source` into `best`; false when the §4.3 fan-out
+    /// bound skips a propagated unit (local units are never skipped).
+    fn score_unit(
+        &self,
+        state: &ClauseState<'_>,
+        unit: &Unit,
+        source: &ScoreSource<'_>,
+        stamp: &mut Stamp,
+        best: &mut Option<Candidate>,
+    ) -> bool {
+        if !unit.path.is_empty() && self.fanout_exceeded(source.fanout(&state.targets)) {
+            return false;
         }
+        if let Some(score) = source.score(self, unit, &state.targets, stamp) {
+            let literal =
+                ComplexLiteral { path: unit.path.clone(), constraint: score.constraint.clone() };
+            reduce(best, Candidate { unit: unit.index, literal, score });
+        }
+        true
+    }
+
+    fn fanout_exceeded(&self, fanout: f64) -> bool {
+        self.params.max_fanout.is_some_and(|limit| fanout > limit as f64)
     }
 
     /// The count-store source signature of active relation `rel` in `state`:
@@ -552,221 +604,23 @@ impl<'a> ClauseLearner<'a> {
         }
     }
 
-    /// The annotation a [`SourceSig`] names, to propagate from on a miss:
-    /// the full identity CSR for [`SourceSig::Identity`] (a superset of
-    /// every target set the entry may later serve), or the live annotation
-    /// for state-scoped sources (a superset of every later round at the
-    /// same epoch).
-    fn source_view<'s>(
+    /// The annotation a group's head propagates from: the full identity CSR
+    /// for a [`SourceSig::Identity`] lookup (a superset of every target set
+    /// the entry may later serve), else the live annotation of active
+    /// relation `rel` (a superset of every later round at the same epoch).
+    fn origin<'s>(
         &'s self,
         state: &'s ClauseState<'_>,
-        sig: &SourceSig,
         rel: RelId,
+        prep: Option<&Prepared>,
     ) -> AnnView<'s> {
-        match sig {
-            SourceSig::Identity => {
+        match prep.map(|p| p.key.source) {
+            Some(SourceSig::Identity) => {
                 let (offsets, ids) =
                     self.identity.as_ref().expect("identity CSR built when the store is enabled");
                 AnnView::Csr { offsets, ids }
             }
-            SourceSig::State { .. } => {
-                state.annotation(rel).expect("state source is an active relation").view()
-            }
-        }
-    }
-
-    /// Resolves every group's count-store lookups in one locked pass (see
-    /// [`crate::stats::StatsCache::prepare`]), in unit order.
-    fn prepare_plans(&self, state: &ClauseState<'_>, groups: &[UnitGroup]) -> Vec<GroupPlan> {
-        let mut keys = Vec::new();
-        for group in groups {
-            match group {
-                UnitGroup::Local { rel, .. } => {
-                    keys.push(PathKey { source: self.source_sig(state, *rel), path: Vec::new() });
-                }
-                UnitGroup::Edge { edge, lookahead, .. } => {
-                    let source = self.source_sig(state, edge.from);
-                    keys.push(PathKey { source, path: vec![*edge] });
-                    for (edge2, _) in lookahead {
-                        keys.push(PathKey { source, path: vec![*edge, *edge2] });
-                    }
-                }
-            }
-        }
-        let entries = self.params.stats.prepare(self.db.cache_stamp(), &keys);
-        let mut resolved = keys.into_iter().zip(entries);
-        let mut next = || {
-            let (key, entry) = resolved.next().expect("one resolved key per search unit");
-            Prepared { key, entry }
-        };
-        groups
-            .iter()
-            .map(|group| match group {
-                UnitGroup::Local { .. } => GroupPlan::Local(next()),
-                UnitGroup::Edge { lookahead, .. } => GroupPlan::Edge {
-                    hop1: next(),
-                    lookahead: lookahead.iter().map(|_| next()).collect(),
-                },
-            })
-            .collect()
-    }
-
-    /// [`Self::evaluate_group`] through the count store: hits score straight
-    /// from cached tables (no propagation, no lock); misses propagate from
-    /// the key's superset source, score through the same cached-table code
-    /// path, and queue the entry for the post-round batch insert.
-    fn evaluate_group_cached(
-        &self,
-        state: &ClauseState<'_>,
-        group: &UnitGroup,
-        plan: &GroupPlan,
-        ws: &mut WorkerScratch,
-        best: &mut Option<Candidate>,
-        pending: &mut Vec<PendingInsert>,
-    ) {
-        let obs = &self.params.obs;
-        let _candidate = obs.span("search.candidate_relation");
-        match (group, plan) {
-            (UnitGroup::Local { rel, unit }, GroupPlan::Local(prep)) => {
-                let allow_agg = *rel != state.target_rel();
-                let entry = match &prep.entry {
-                    Some(e) => Arc::clone(e),
-                    None => {
-                        let src = self.source_view(state, &prep.key.source, *rel);
-                        let entry = Arc::new(CachedEntry::build(
-                            self.db,
-                            *rel,
-                            src,
-                            &self.all_targets,
-                            true,
-                            allow_agg && self.params.aggregation_literals,
-                        ));
-                        pending.push(PendingInsert {
-                            unit: *unit,
-                            key: prep.key.clone(),
-                            entry: Arc::clone(&entry),
-                        });
-                        entry
-                    }
-                };
-                if let Some(score) = best_constraint_cached(
-                    self.db,
-                    *rel,
-                    &entry,
-                    &state.targets,
-                    &self.is_pos,
-                    &mut ws.stamp,
-                    self.params,
-                    allow_agg,
-                ) {
-                    let literal = ComplexLiteral::local(score.constraint.clone());
-                    reduce(best, Candidate { unit: *unit, literal, score });
-                }
-            }
-            (
-                UnitGroup::Edge { edge, unit, lookahead },
-                GroupPlan::Edge { hop1, lookahead: lookahead_plans },
-            ) => {
-                let hop1_entry = match &hop1.entry {
-                    Some(e) => Arc::clone(e),
-                    None => {
-                        let src = self.source_view(state, &hop1.key.source, edge.from);
-                        ws.hop1.propagate_from(self.db, src, edge);
-                        // Tables are only worth building when this round will
-                        // score them; a fan-out-exceeded propagation caches
-                        // just the CSR so the skip itself replays for free.
-                        let exceeded =
-                            self.filtered_fanout_exceeded(ws.hop1.view(), &state.targets);
-                        let entry = Arc::new(CachedEntry::build(
-                            self.db,
-                            edge.to,
-                            ws.hop1.view(),
-                            &self.all_targets,
-                            !exceeded,
-                            self.params.aggregation_literals,
-                        ));
-                        pending.push(PendingInsert {
-                            unit: *unit,
-                            key: hop1.key.clone(),
-                            entry: Arc::clone(&entry),
-                        });
-                        entry
-                    }
-                };
-                if self.filtered_fanout_exceeded(hop1_entry.view(), &state.targets) {
-                    return; // serial loop `continue`s past the lookahead too
-                }
-                if let Some(score) = best_constraint_cached(
-                    self.db,
-                    edge.to,
-                    &hop1_entry,
-                    &state.targets,
-                    &self.is_pos,
-                    &mut ws.stamp,
-                    self.params,
-                    true,
-                ) {
-                    let literal =
-                        ComplexLiteral { path: vec![*edge], constraint: score.constraint.clone() };
-                    reduce(best, Candidate { unit: *unit, literal, score });
-                }
-                let _lookahead = if lookahead.is_empty() {
-                    crossmine_obs::SpanGuard::disabled()
-                } else {
-                    obs.add("search.lookahead_units", lookahead.len() as u64);
-                    obs.span("search.look_one_ahead")
-                };
-                for ((edge2, unit2), prep2) in lookahead.iter().zip(lookahead_plans) {
-                    let hop2_entry = match &prep2.entry {
-                        Some(e) => Arc::clone(e),
-                        None => {
-                            // Propagate from the cached hop-1 entry: it is a
-                            // superset of the live hop-1 annotation, and
-                            // propagation commutes with target restriction,
-                            // so the result is superset-valid too.
-                            ws.hop2.propagate_from(self.db, hop1_entry.view(), edge2);
-                            let exceeded =
-                                self.filtered_fanout_exceeded(ws.hop2.view(), &state.targets);
-                            let entry = Arc::new(CachedEntry::build(
-                                self.db,
-                                edge2.to,
-                                ws.hop2.view(),
-                                &self.all_targets,
-                                !exceeded,
-                                self.params.aggregation_literals,
-                            ));
-                            pending.push(PendingInsert {
-                                unit: *unit2,
-                                key: prep2.key.clone(),
-                                entry: Arc::clone(&entry),
-                            });
-                            entry
-                        }
-                    };
-                    if self.filtered_fanout_exceeded(hop2_entry.view(), &state.targets) {
-                        continue;
-                    }
-                    if let Some(score) = best_constraint_cached(
-                        self.db,
-                        edge2.to,
-                        &hop2_entry,
-                        &state.targets,
-                        &self.is_pos,
-                        &mut ws.stamp,
-                        self.params,
-                        true,
-                    ) {
-                        let literal = ComplexLiteral {
-                            path: vec![*edge, *edge2],
-                            constraint: score.constraint.clone(),
-                        };
-                        reduce(best, Candidate { unit: *unit2, literal, score });
-                    }
-                }
-            }
-            // enumerate_units and prepare_plans walk the same group list, so
-            // the shapes always line up.
-            _ => unreachable!("group/plan shape mismatch"),
+            _ => state.annotation(rel).expect("search starts from an active relation").view(),
         }
     }
 }

@@ -8,13 +8,16 @@
 //! IDs; aggregation literals first compute per-target statistics and then
 //! reuse the numerical sweep over those per-target values.
 
-use crossmine_relational::{Database, RelId, Row, Value};
+use std::borrow::Cow;
+
+use crossmine_relational::{AttrId, Database, RelId};
 
 use crate::gain::foil_gain;
 use crate::idset::{Stamp, TargetSet};
 use crate::literal::{AggOp, CmpOp, Constraint, ConstraintKind};
 use crate::params::CrossMineParams;
-use crate::propagation::{aggregate, AnnView};
+use crate::propagation::{aggregate, AggStats, AnnView};
+use crate::stats::{num_entries, CachedEntry, CatTable, Tables};
 
 /// A constraint together with its foil gain and coverage.
 #[derive(Debug, Clone)]
@@ -46,7 +49,70 @@ pub fn best_constraint_in<'a>(
     params: &CrossMineParams,
     allow_aggregation: bool,
 ) -> Option<ScoredConstraint> {
-    let ann = ann.into();
+    let with_aggs = allow_aggregation && params.aggregation_literals;
+    score_relation(db, rel, Counts::View(ann.into()), targets, is_pos, stamp, params, with_aggs)
+}
+
+/// [`best_constraint_in`] over a count-store entry: the same candidates in
+/// the same order, but categorical groups, numerical sweep inputs and
+/// per-target aggregates come from the entry's precomputed tables.
+///
+/// Parity with the live search: the entry was built from a *superset* of
+/// the live annotation, and every tally filters through the live `targets`.
+/// Filtered categorical groups equal the live ones exactly. The
+/// numerical/aggregate sweeps may see extra ("phantom") rows whose ids all
+/// filter out: a phantom distinct value emits the same `(p, n)` as the
+/// previous emission (a gain tie, which the strict `>` in
+/// [`score_relation`] never prefers) or `p == 0` (skipped), so the chosen
+/// constraint and score are byte-identical — only the
+/// `literals_considered` counter can differ.
+///
+/// Tallies the entry's cached annotation instead when the tables are absent
+/// (fan-out-exceeded at build time) or lack the aggregate side this query
+/// needs: parity-safe by the same superset argument, and still no
+/// propagation pass.
+#[allow(clippy::too_many_arguments)] // mirrors best_constraint_in
+pub(crate) fn best_constraint_cached(
+    db: &Database,
+    rel: RelId,
+    entry: &CachedEntry,
+    targets: &TargetSet,
+    is_pos: &[bool],
+    stamp: &mut Stamp,
+    params: &CrossMineParams,
+    allow_aggregation: bool,
+) -> Option<ScoredConstraint> {
+    let with_aggs = allow_aggregation && params.aggregation_literals;
+    let counts = match &entry.tables {
+        Some(t) if !(with_aggs && t.aggs.is_none()) => Counts::Tables(t),
+        _ => Counts::View(entry.view()),
+    };
+    score_relation(db, rel, counts, targets, is_pos, stamp, params, with_aggs)
+}
+
+/// Where one relation's sweep inputs come from.
+#[derive(Clone, Copy)]
+enum Counts<'a> {
+    /// Tally a propagated annotation on the spot.
+    View(AnnView<'a>),
+    /// Read a count-store entry's precomputed tables.
+    Tables(&'a Tables),
+}
+
+/// The §5.1 scan of one relation: every categorical value, every numerical
+/// threshold and, with `with_aggs`, every aggregation literal, keeping the
+/// first candidate of highest foil gain.
+#[allow(clippy::too_many_arguments)] // mirrors best_constraint_in
+fn score_relation(
+    db: &Database,
+    rel: RelId,
+    counts: Counts<'_>,
+    targets: &TargetSet,
+    is_pos: &[bool],
+    stamp: &mut Stamp,
+    params: &CrossMineParams,
+    with_aggs: bool,
+) -> Option<ScoredConstraint> {
     let p_c = targets.pos();
     let n_c = targets.neg();
     if p_c == 0 {
@@ -56,204 +122,40 @@ pub fn best_constraint_in<'a>(
     // Candidate literals evaluated in this relation; flushed to the obs
     // counter once at the end (a single add, not one per candidate).
     let mut considered = 0u64;
-    let schema = db.schema.relation(rel);
-    let relation = db.relation(rel);
-
-    for (aid, attr) in schema.iter_attrs() {
-        if attr.ty.is_categorical() {
-            // Bucket idsets by categorical code, then count distinct targets
-            // per bucket.
-            let card = attr.cardinality().max(
-                relation
-                    .column(aid)
-                    .iter()
-                    .filter_map(Value::as_cat)
-                    .map(|c| c as usize + 1)
-                    .max()
-                    .unwrap_or(0),
-            );
-            let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); card];
-            for i in 0..ann.num_rows() {
-                let set = ann.ids(i);
-                if set.is_empty() {
-                    continue;
-                }
-                if let Value::Cat(c) = relation.value(Row(i as u32), aid) {
-                    buckets[c as usize]
-                        .extend(set.iter().copied().filter(|&id| targets.contains(id)));
-                }
-            }
-            for (code, ids) in buckets.iter().enumerate() {
-                if ids.is_empty() {
-                    continue;
-                }
-                stamp.reset();
-                let mut p = 0;
-                let mut n = 0;
-                for &id in ids {
-                    if stamp.mark(id) {
-                        if is_pos[id as usize] {
-                            p += 1;
-                        } else {
-                            n += 1;
-                        }
-                    }
-                }
-                consider(
-                    &mut best,
-                    &mut considered,
-                    Constraint {
-                        rel,
-                        kind: ConstraintKind::CatEq { attr: aid, value: code as u32 },
-                    },
-                    p_c,
-                    n_c,
-                    p,
-                    n,
-                );
-            }
-        } else if attr.ty.is_numerical() {
-            // Restrict the sorted index to joinable tuples, gathering the
-            // active target ids behind each value.
-            let sorted = db.sorted_index(rel, aid);
-            // NaN values fail every `A <= v` / `A >= v` test at apply time,
-            // so they can never be covered; they must also not become
-            // thresholds or the sweep's value-grouping loop (which compares
-            // with `==`) would stall on `NaN != NaN`.
-            let entries: Vec<(f64, &[u32])> = sorted
-                .entries
-                .iter()
-                .filter(|(v, row)| !v.is_nan() && !ann.ids(row.0 as usize).is_empty())
-                .map(|(v, row)| (*v, ann.ids(row.0 as usize)))
-                .collect();
-            sweep_numeric(&entries, targets, is_pos, stamp, p_c, n_c, |op, threshold, p, n| {
-                consider(
-                    &mut best,
-                    &mut considered,
-                    Constraint { rel, kind: ConstraintKind::Num { attr: aid, op, threshold } },
-                    p_c,
-                    n_c,
-                    p,
-                    n,
-                );
+    let mut consider = |kind: ConstraintKind, p: usize, n: usize| {
+        considered += 1;
+        // Covering no positive, or everything, carries no information.
+        if p == 0 || (p == p_c && n == n_c) {
+            return;
+        }
+        let gain = foil_gain(p_c, n_c, p, n);
+        if gain > best.as_ref().map_or(0.0, |b| b.gain) {
+            best = Some(ScoredConstraint {
+                constraint: Constraint { rel, kind },
+                gain,
+                pos: p,
+                neg: n,
             });
         }
-    }
-
-    if allow_aggregation && params.aggregation_literals {
-        // count(*) over joinable tuples.
-        let count_stats = aggregate(db, rel, None, ann, targets);
-        sweep_per_target(&count_stats, AggOp::Count, targets, is_pos, p_c, n_c, |op, thr, p, n| {
-            consider(
-                &mut best,
-                &mut considered,
-                Constraint {
-                    rel,
-                    kind: ConstraintKind::Agg { agg: AggOp::Count, attr: None, op, threshold: thr },
-                },
-                p_c,
-                n_c,
-                p,
-                n,
-            );
-        });
-        // sum/avg per numerical attribute.
-        for (aid, attr) in schema.iter_attrs() {
-            if !attr.ty.is_numerical() {
-                continue;
-            }
-            let stats = aggregate(db, rel, Some(aid), ann, targets);
-            for agg in [AggOp::Sum, AggOp::Avg] {
-                sweep_per_target(&stats, agg, targets, is_pos, p_c, n_c, |op, thr, p, n| {
-                    consider(
-                        &mut best,
-                        &mut considered,
-                        Constraint {
-                            rel,
-                            kind: ConstraintKind::Agg { agg, attr: Some(aid), op, threshold: thr },
-                        },
-                        p_c,
-                        n_c,
-                        p,
-                        n,
-                    );
-                });
-            }
-        }
-    }
-
-    params.obs.add("search.literals_considered", considered);
-    best
-}
-
-/// [`best_constraint_in`] over a count-store entry: identical candidate
-/// enumeration order, but categorical buckets, numerical sweep inputs, and
-/// per-target aggregates come from the entry's precomputed tables instead of
-/// a fresh propagation pass.
-///
-/// Parity with the live search: the entry was built from a *superset* of
-/// the live annotation, and every tally below filters through the live
-/// `targets`. Filtered categorical groups equal the live buckets exactly.
-/// The numerical/aggregate sweeps may see extra ("phantom") rows whose ids
-/// all filter out: a phantom distinct value emits the same `(p, n)` as the
-/// previous emission (a gain tie, which the strict `>` in [`consider`] never
-/// prefers) or `p == 0` (skipped), so the chosen constraint and score are
-/// byte-identical — only the `literals_considered` counter can differ.
-///
-/// Falls back to [`best_constraint_in`] over the entry's cached annotation
-/// when the tables are absent (fan-out-exceeded at build time) or lack the
-/// aggregate side this query needs.
-#[allow(clippy::too_many_arguments)] // mirrors best_constraint_in
-pub(crate) fn best_constraint_cached(
-    db: &Database,
-    rel: RelId,
-    entry: &crate::stats::CachedEntry,
-    targets: &TargetSet,
-    is_pos: &[bool],
-    stamp: &mut Stamp,
-    params: &CrossMineParams,
-    allow_aggregation: bool,
-) -> Option<ScoredConstraint> {
-    let want_aggs = allow_aggregation && params.aggregation_literals;
-    let tables = match &entry.tables {
-        Some(t) if !(want_aggs && t.aggs.is_none()) => t,
-        // No tables (or no aggregate tables where this query needs them):
-        // re-count from the cached annotation, which is parity-safe by the
-        // same superset argument and still skips the propagation pass.
-        _ => {
-            return best_constraint_in(
-                db,
-                rel,
-                entry.view(),
-                targets,
-                is_pos,
-                stamp,
-                params,
-                allow_aggregation,
-            );
-        }
     };
-    let p_c = targets.pos();
-    let n_c = targets.neg();
-    if p_c == 0 {
-        return None;
-    }
-    let mut best: Option<ScoredConstraint> = None;
-    let mut considered = 0u64;
     let schema = db.schema.relation(rel);
-    let mut cat_i = 0usize;
-    let mut num_i = 0usize;
 
     for (aid, attr) in schema.iter_attrs() {
         if attr.ty.is_categorical() {
-            let (taid, table) = &tables.cats[cat_i];
-            cat_i += 1;
-            debug_assert_eq!(*taid, aid, "cat table order must match schema order");
-            for (code, &(a, b)) in table.ranges.iter().enumerate() {
+            let built;
+            let table = match counts {
+                Counts::View(ann) => {
+                    built = CatTable::build(db, rel, aid, ann);
+                    &built
+                }
+                Counts::Tables(t) => t.cat(aid),
+            };
+            // Count the distinct live targets behind each code.
+            for code in 0..table.ranges.len() {
                 stamp.reset();
                 let mut p = 0;
                 let mut n = 0;
-                for &id in &table.ids[a as usize..b as usize] {
+                for &id in table.group(code) {
                     if targets.contains(id) && stamp.mark(id) {
                         if is_pos[id as usize] {
                             p += 1;
@@ -262,77 +164,38 @@ pub(crate) fn best_constraint_cached(
                         }
                     }
                 }
-                if p + n == 0 {
-                    continue; // the live bucket would have been empty
+                if p + n > 0 {
+                    consider(ConstraintKind::CatEq { attr: aid, value: code as u32 }, p, n);
                 }
-                consider(
-                    &mut best,
-                    &mut considered,
-                    Constraint {
-                        rel,
-                        kind: ConstraintKind::CatEq { attr: aid, value: code as u32 },
-                    },
-                    p_c,
-                    n_c,
-                    p,
-                    n,
-                );
             }
         } else if attr.ty.is_numerical() {
-            let (taid, table) = &tables.nums[num_i];
-            num_i += 1;
-            debug_assert_eq!(*taid, aid, "num table order must match schema order");
-            let entries: Vec<(f64, &[u32])> = table
-                .values
-                .iter()
-                .zip(&table.ranges)
-                .map(|(&v, &(a, b))| (v, &table.ids[a as usize..b as usize]))
-                .collect();
-            sweep_numeric(&entries, targets, is_pos, stamp, p_c, n_c, |op, threshold, p, n| {
-                consider(
-                    &mut best,
-                    &mut considered,
-                    Constraint { rel, kind: ConstraintKind::Num { attr: aid, op, threshold } },
-                    p_c,
-                    n_c,
-                    p,
-                    n,
-                );
+            let entries = match counts {
+                Counts::View(ann) => num_entries(db, rel, aid, ann),
+                Counts::Tables(t) => t.num(aid).entries(),
+            };
+            sweep_numeric(&entries, targets, is_pos, stamp, |op, threshold, p, n| {
+                consider(ConstraintKind::Num { attr: aid, op, threshold }, p, n);
             });
         }
     }
 
-    if want_aggs {
-        let aggs = tables.aggs.as_ref().expect("aggregate tables checked present above");
-        sweep_per_target(&aggs.count, AggOp::Count, targets, is_pos, p_c, n_c, |op, thr, p, n| {
-            consider(
-                &mut best,
-                &mut considered,
-                Constraint {
-                    rel,
-                    kind: ConstraintKind::Agg { agg: AggOp::Count, attr: None, op, threshold: thr },
-                },
-                p_c,
-                n_c,
-                p,
-                n,
-            );
+    if with_aggs {
+        let stats_of = |attr: Option<AttrId>| match counts {
+            Counts::View(ann) => Cow::Owned(aggregate(db, rel, attr, ann, targets)),
+            Counts::Tables(t) => Cow::Borrowed(t.agg(attr)),
+        };
+        // count(*) over joinable tuples, then sum/avg per numerical attribute.
+        sweep_per_target(&stats_of(None), AggOp::Count, targets, is_pos, |op, threshold, p, n| {
+            consider(ConstraintKind::Agg { agg: AggOp::Count, attr: None, op, threshold }, p, n);
         });
-        for (aid, stats) in &aggs.per_attr {
+        for (aid, attr) in schema.iter_attrs() {
+            if !attr.ty.is_numerical() {
+                continue;
+            }
+            let stats = stats_of(Some(aid));
             for agg in [AggOp::Sum, AggOp::Avg] {
-                sweep_per_target(stats, agg, targets, is_pos, p_c, n_c, |op, thr, p, n| {
-                    consider(
-                        &mut best,
-                        &mut considered,
-                        Constraint {
-                            rel,
-                            kind: ConstraintKind::Agg { agg, attr: Some(*aid), op, threshold: thr },
-                        },
-                        p_c,
-                        n_c,
-                        p,
-                        n,
-                    );
+                sweep_per_target(&stats, agg, targets, is_pos, |op, threshold, p, n| {
+                    consider(ConstraintKind::Agg { agg, attr: Some(aid), op, threshold }, p, n);
                 });
             }
         }
@@ -340,33 +203,6 @@ pub(crate) fn best_constraint_cached(
 
     params.obs.add("search.literals_considered", considered);
     best
-}
-
-fn consider(
-    best: &mut Option<ScoredConstraint>,
-    considered: &mut u64,
-    constraint: Constraint,
-    p_c: usize,
-    n_c: usize,
-    p: usize,
-    n: usize,
-) {
-    *considered += 1;
-    if p == 0 {
-        return;
-    }
-    // A literal satisfied by everything carries no information.
-    if p == p_c && n == n_c {
-        return;
-    }
-    let gain = foil_gain(p_c, n_c, p, n);
-    let better = match best {
-        None => gain > 0.0,
-        Some(b) => gain > b.gain,
-    };
-    if better {
-        *best = Some(ScoredConstraint { constraint, gain, pos: p, neg: n });
-    }
 }
 
 /// Sweeps `(value, target-ids)` entries sorted ascending by value, reporting
@@ -377,8 +213,6 @@ fn sweep_numeric(
     targets: &TargetSet,
     is_pos: &[bool],
     stamp: &mut Stamp,
-    _p_c: usize,
-    _n_c: usize,
     mut emit: impl FnMut(CmpOp, f64, usize, usize),
 ) {
     if entries.is_empty() {
@@ -421,12 +255,10 @@ fn sweep_numeric(
 /// Sweeps per-target aggregate values: each target appears at most once, so
 /// no distinct-counting is needed — just sorted prefix/suffix counts.
 fn sweep_per_target(
-    stats: &[crate::propagation::AggStats],
+    stats: &[AggStats],
     agg: AggOp,
     targets: &TargetSet,
     is_pos: &[bool],
-    _p_c: usize,
-    _n_c: usize,
     mut emit: impl FnMut(CmpOp, f64, usize, usize),
 ) {
     let mut vals: Vec<(f64, bool)> = Vec::new();
@@ -492,7 +324,7 @@ mod tests {
     use crate::idset::IdSet;
     use crate::propagation::Annotation;
     use crossmine_relational::{
-        AttrId, AttrType, Attribute, ClassLabel, DatabaseSchema, RelationSchema,
+        AttrId, AttrType, Attribute, ClassLabel, DatabaseSchema, RelationSchema, Value,
     };
 
     /// One relation `T(pk, color, x)` where IDs are "propagated" as identity:

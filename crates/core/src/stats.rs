@@ -44,7 +44,7 @@ use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use crossmine_relational::{AttrId, Database, JoinEdge, RelId, Row, Value};
+use crossmine_relational::{AttrId, Database, JoinEdge, RelId, Value};
 
 use crate::idset::TargetSet;
 use crate::propagation::{aggregate, AggStats, AnnView};
@@ -98,9 +98,71 @@ pub(crate) struct CatTable {
     pub(crate) ids: Vec<u32>,
 }
 
-/// The sorted `(value, ids)` table of one numerical attribute: one entry per
-/// sorted-index row with a non-NaN value and a non-empty idset, ascending by
-/// value — exactly the sweep input the live search builds per call.
+impl CatTable {
+    /// Groups `view`'s ids by their tuple's code on categorical attribute
+    /// `aid`: one pass sizes the groups and lists the joinable rows, a
+    /// second fills the groups from just those rows.
+    pub(crate) fn build(db: &Database, rel: RelId, aid: AttrId, view: AnnView<'_>) -> Self {
+        let column = db.relation(rel).column(aid);
+        let card = db.schema.relation(rel).attr(aid).cardinality().max(
+            column.iter().filter_map(Value::as_cat).map(|c| c as usize + 1).max().unwrap_or(0),
+        );
+        let mut ranges = vec![(0u32, 0u32); card];
+        let mut joinable = Vec::new();
+        for (row, value) in column.iter().enumerate().take(view.num_rows()) {
+            let len = view.ids(row).len() as u32;
+            if len == 0 {
+                continue;
+            }
+            if let Some(c) = value.as_cat() {
+                ranges[c as usize].1 += len;
+                joinable.push((c as usize, row));
+            }
+        }
+        let mut total = 0u32;
+        for range in &mut ranges {
+            let len = range.1;
+            *range = (total, total);
+            total += len;
+        }
+        // `range.1` is each group's fill cursor; it ends at the group's end.
+        let mut ids = vec![0u32; total as usize];
+        for (c, row) in joinable {
+            let set = view.ids(row);
+            let end = &mut ranges[c].1;
+            ids[*end as usize..*end as usize + set.len()].copy_from_slice(set);
+            *end += set.len() as u32;
+        }
+        CatTable { ranges, ids }
+    }
+
+    /// The ids of group `code`.
+    pub(crate) fn group(&self, code: usize) -> &[u32] {
+        let (a, b) = self.ranges[code];
+        &self.ids[a as usize..b as usize]
+    }
+}
+
+/// The sweep input of numerical attribute `aid` under `view`: one
+/// `(value, ids)` per sorted-index row with a non-NaN value and a non-empty
+/// idset, ascending by value. NaN values fail every `A <= v` / `A >= v` test
+/// at apply time, so they can never be covered; they must also not become
+/// thresholds, or the sweep's `==` value grouping would stall on them.
+pub(crate) fn num_entries<'v>(
+    db: &Database,
+    rel: RelId,
+    aid: AttrId,
+    view: AnnView<'v>,
+) -> Vec<(f64, &'v [u32])> {
+    db.sorted_index(rel, aid)
+        .entries
+        .iter()
+        .map(|&(v, row)| (v, view.ids(row.0 as usize)))
+        .filter(|(v, set)| !v.is_nan() && !set.is_empty())
+        .collect()
+}
+
+/// The stored [`num_entries`] of one numerical attribute.
 #[derive(Debug)]
 pub(crate) struct NumTable {
     /// Attribute values, ascending (ties kept, as in the sorted index).
@@ -109,6 +171,33 @@ pub(crate) struct NumTable {
     pub(crate) ranges: Vec<(u32, u32)>,
     /// All entries' ids, concatenated.
     pub(crate) ids: Vec<u32>,
+}
+
+impl NumTable {
+    fn build(db: &Database, rel: RelId, aid: AttrId, view: AnnView<'_>) -> Self {
+        let entries = num_entries(db, rel, aid, view);
+        let mut table = NumTable {
+            values: Vec::with_capacity(entries.len()),
+            ranges: Vec::with_capacity(entries.len()),
+            ids: Vec::new(),
+        };
+        for (v, set) in entries {
+            let start = table.ids.len() as u32;
+            table.ids.extend_from_slice(set);
+            table.values.push(v);
+            table.ranges.push((start, table.ids.len() as u32));
+        }
+        table
+    }
+
+    /// The table as the numerical sweep's input.
+    pub(crate) fn entries(&self) -> Vec<(f64, &[u32])> {
+        self.values
+            .iter()
+            .zip(&self.ranges)
+            .map(|(&v, &(a, b))| (v, &self.ids[a as usize..b as usize]))
+            .collect()
+    }
 }
 
 /// Per-target aggregate tables (unfiltered: every propagated id
@@ -133,6 +222,35 @@ pub(crate) struct Tables {
     /// Aggregate tables, when aggregation literals were enabled for this
     /// entry's relation.
     pub(crate) aggs: Option<AggTables>,
+}
+
+impl Tables {
+    /// The table of categorical attribute `aid`.
+    pub(crate) fn cat(&self, aid: AttrId) -> &CatTable {
+        &self.cats.iter().find(|(a, _)| *a == aid).expect("one table per categorical attribute").1
+    }
+
+    /// The table of numerical attribute `aid`.
+    pub(crate) fn num(&self, aid: AttrId) -> &NumTable {
+        &self.nums.iter().find(|(a, _)| *a == aid).expect("one table per numerical attribute").1
+    }
+
+    /// The per-target statistics of `attr` (`None` for `count(*)`); the
+    /// caller checked that aggregate tables were built.
+    pub(crate) fn agg(&self, attr: Option<AttrId>) -> &[AggStats] {
+        let aggs = self.aggs.as_ref().expect("aggregate tables were built");
+        match attr {
+            None => &aggs.count,
+            Some(aid) => {
+                &aggs
+                    .per_attr
+                    .iter()
+                    .find(|(a, _)| *a == aid)
+                    .expect("one per numerical attribute")
+                    .1
+            }
+        }
+    }
 }
 
 /// One cached prop-path: the propagated annotation (CSR) plus, usually, its
@@ -205,25 +323,6 @@ impl CachedEntry {
         entry
     }
 
-    /// The full identity entry of the target relation: row `i` carries
-    /// exactly id `i`. This is the [`SourceSig::Identity`] source with an
-    /// empty path.
-    pub fn identity(
-        db: &Database,
-        rel: RelId,
-        num_rows: usize,
-        all_targets: &TargetSet,
-        with_aggs: bool,
-    ) -> Self {
-        let offsets: Vec<u32> = (0..=num_rows as u32).collect();
-        let ids: Vec<u32> = (0..num_rows as u32).collect();
-        let view = AnnView::Csr { offsets: &offsets, ids: &ids };
-        let tables = Some(Self::build_tables(db, rel, view, all_targets, with_aggs));
-        let mut entry = CachedEntry { offsets, ids, tables, bytes: 0 };
-        entry.bytes = entry.compute_bytes();
-        entry
-    }
-
     fn build_tables(
         db: &Database,
         rel: RelId,
@@ -232,56 +331,13 @@ impl CachedEntry {
         with_aggs: bool,
     ) -> Tables {
         let schema = db.schema.relation(rel);
-        let relation = db.relation(rel);
         let mut cats = Vec::new();
         let mut nums = Vec::new();
         for (aid, attr) in schema.iter_attrs() {
             if attr.ty.is_categorical() {
-                // Same cardinality formula as the live search, so the cached
-                // query iterates exactly the same code sequence.
-                let card = attr.cardinality().max(
-                    relation
-                        .column(aid)
-                        .iter()
-                        .filter_map(Value::as_cat)
-                        .map(|c| c as usize + 1)
-                        .max()
-                        .unwrap_or(0),
-                );
-                let mut groups: Vec<Vec<u32>> = vec![Vec::new(); card];
-                for row in 0..view.num_rows() {
-                    let set = view.ids(row);
-                    if set.is_empty() {
-                        continue;
-                    }
-                    if let Value::Cat(c) = relation.value(Row(row as u32), aid) {
-                        groups[c as usize].extend_from_slice(set);
-                    }
-                }
-                let mut ids = Vec::with_capacity(groups.iter().map(Vec::len).sum());
-                let mut ranges = Vec::with_capacity(card);
-                for group in &groups {
-                    let start = ids.len() as u32;
-                    ids.extend_from_slice(group);
-                    ranges.push((start, ids.len() as u32));
-                }
-                cats.push((aid, CatTable { ranges, ids }));
+                cats.push((aid, CatTable::build(db, rel, aid, view)));
             } else if attr.ty.is_numerical() {
-                let sorted = db.sorted_index(rel, aid);
-                let mut values = Vec::new();
-                let mut ranges = Vec::new();
-                let mut ids = Vec::new();
-                for (v, row) in &sorted.entries {
-                    let set = view.ids(row.0 as usize);
-                    if v.is_nan() || set.is_empty() {
-                        continue;
-                    }
-                    let start = ids.len() as u32;
-                    ids.extend_from_slice(set);
-                    values.push(*v);
-                    ranges.push((start, ids.len() as u32));
-                }
-                nums.push((aid, NumTable { values, ranges, ids }));
+                nums.push((aid, NumTable::build(db, rel, aid, view)));
             }
         }
         let aggs = with_aggs.then(|| {
@@ -322,21 +378,9 @@ impl CachedEntry {
         AnnView::Csr { offsets: &self.offsets, ids: &self.ids }
     }
 
-    /// Whether contingency tables were built (false for fan-out-exceeded
-    /// propagations, which cache only the skip-decision CSR).
-    pub fn has_tables(&self) -> bool {
-        self.tables.is_some()
-    }
-
     /// Approximate heap footprint, as accounted against the byte budget.
     pub fn cost_bytes(&self) -> usize {
         self.bytes
-    }
-
-    /// The entry's fan-out restricted to the live `targets` (equals the
-    /// live annotation's `avg_fanout`; see [`filtered_fanout`]).
-    pub fn fanout(&self, targets: &TargetSet) -> f64 {
-        filtered_fanout(self.view(), targets)
     }
 }
 
@@ -556,7 +600,7 @@ mod tests {
     use crate::idset::IdSet;
     use crate::propagation::Annotation;
     use crossmine_relational::{
-        AttrType, Attribute, ClassLabel, DatabaseSchema, JoinKind, RelationSchema,
+        AttrType, Attribute, ClassLabel, DatabaseSchema, JoinKind, RelationSchema, Row,
     };
 
     fn tiny_db() -> (Database, Vec<bool>) {
@@ -594,10 +638,17 @@ mod tests {
         PathKey { source, path }
     }
 
+    /// The full identity entry of the target relation: row `i` carries
+    /// exactly id `i`.
+    fn identity_entry(db: &Database, rel: RelId, all: &TargetSet, with_aggs: bool) -> CachedEntry {
+        let ann = Annotation::identity(all.capacity(), all);
+        CachedEntry::build(db, rel, ann.view(), all, true, with_aggs)
+    }
+
     fn entry_of(db: &Database, is_pos: &[bool]) -> Arc<CachedEntry> {
         let all = TargetSet::all(is_pos);
         let rel = db.target().unwrap();
-        Arc::new(CachedEntry::identity(db, rel, is_pos.len(), &all, false))
+        Arc::new(identity_entry(db, rel, &all, false))
     }
 
     #[test]
@@ -605,7 +656,7 @@ mod tests {
         let (db, is_pos) = tiny_db();
         let all = TargetSet::all(&is_pos);
         let rel = db.target().unwrap();
-        let entry = CachedEntry::identity(&db, rel, 6, &all, true);
+        let entry = identity_entry(&db, rel, &all, true);
         assert_eq!(entry.view().num_rows(), 6);
         assert_eq!(entry.view().ids(4), &[4]);
         let tables = entry.tables.as_ref().unwrap();
@@ -660,15 +711,15 @@ mod tests {
         let (db, is_pos) = tiny_db();
         let all = TargetSet::all(&is_pos);
         let rel = db.target().unwrap();
-        let entry = CachedEntry::identity(&db, rel, 6, &all, false);
+        let entry = identity_entry(&db, rel, &all, false);
         // Restrict to three targets: the live annotation would have three
         // singleton rows -> fanout 1.0; an empty restriction -> 0.0.
         let some = TargetSet::from_rows(&is_pos, [Row(0), Row(2), Row(5)]);
-        assert_eq!(entry.fanout(&some), 1.0);
+        assert_eq!(filtered_fanout(entry.view(), &some), 1.0);
         let none = TargetSet::from_rows(&is_pos, std::iter::empty::<Row>());
-        assert_eq!(entry.fanout(&none), 0.0);
+        assert_eq!(filtered_fanout(entry.view(), &none), 0.0);
         // On the unrestricted set the filtered fanout equals the plain one.
-        assert_eq!(entry.fanout(&all), entry.view().avg_fanout());
+        assert_eq!(filtered_fanout(entry.view(), &all), entry.view().avg_fanout());
     }
 
     #[test]

@@ -194,3 +194,64 @@ fn store_is_shareable_across_param_clones() {
     let _ = model_fingerprint(&db, &p1);
     assert!(store.stats().misses > 0);
 }
+
+/// Params for the walker-branch parity tests: the count-store budget and
+/// worker count under test plus the search settings that pick the branch.
+fn walker_params(
+    budget: usize,
+    threads: usize,
+    max_fanout: Option<usize>,
+    aggregation: bool,
+    lookahead: bool,
+) -> CrossMineParams {
+    CrossMineParams::builder()
+        .stats_cache_budget_bytes(budget)
+        .num_threads(Some(threads))
+        .max_fanout(max_fanout)
+        .aggregation_literals(aggregation)
+        .look_one_ahead(lookahead)
+        .build()
+        .unwrap()
+}
+
+#[test]
+fn fanout_skips_keep_parity_under_every_search_setting() {
+    // A fan-out bound of 1 skips every propagation that reaches a tuple
+    // through more than one target on average: the head skip (which also
+    // drops the group's look-one-ahead hops), the look-one-ahead skip, and
+    // the count store's CSR-only entries. Each must decide the same way
+    // whether the counts are live, a hit or a fresh entry; with no bound,
+    // aggregation and look-one-ahead switched off must keep parity too.
+    for seed in [11u64, 42] {
+        let db = synth_db(seed);
+        for aggregation in [true, false] {
+            for lookahead in [true, false] {
+                let mut references = Vec::new();
+                for max_fanout in [Some(1), None] {
+                    let setting = format!(
+                        "seed {seed}, aggregation {aggregation}, lookahead {lookahead}, \
+                         max_fanout {max_fanout:?}"
+                    );
+                    let params = |budget, threads| {
+                        walker_params(budget, threads, max_fanout, aggregation, lookahead)
+                    };
+                    let reference = model_fingerprint(&db, &params(0, 1));
+                    assert_ne!(reference, "[]", "{setting}: oracle is vacuous without clauses");
+                    for (budget, threads) in [(0, 4), (64 << 20, 1), (64 << 20, 4)] {
+                        assert_eq!(
+                            reference,
+                            model_fingerprint(&db, &params(budget, threads)),
+                            "{setting}, budget {budget}, {threads} workers: the model changed"
+                        );
+                    }
+                    references.push(reference);
+                }
+                assert_ne!(
+                    references[0], references[1],
+                    "seed {seed}, aggregation {aggregation}, lookahead {lookahead}: \
+                     the fan-out bound never skipped"
+                );
+            }
+        }
+    }
+}
