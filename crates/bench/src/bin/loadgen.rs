@@ -54,10 +54,10 @@
 //! for the first N rows as JSONL after the run.
 //!
 //! `--shards N` replaces the single server with a `ShardRouter` over N
-//! shared-nothing shards and turns the run into the mutable-database
-//! acceptance drill: phase one drives the base snapshot, then a delta
-//! (fresh-keyed clones of live target rows plus a cell patch) is
-//! broadcast to every shard and parity-proven against a from-scratch
+//! shards and turns the run into the mutable-database acceptance drill:
+//! phase one drives the base snapshot, then a delta (fresh-keyed clones
+//! of live target rows plus a cell patch) is applied to the overlay every
+//! shard reads and parity-proven against a from-scratch
 //! evaluation of the materialized merge, and phase two drives the merged
 //! database — over real TCP with `--net` — while the model is hot-swapped
 //! shard-by-shard (`rolling_install`) once between phases and once
@@ -652,9 +652,9 @@ fn main() {
 
 /// The `--shards N` run: the same parity-or-die discipline as the
 /// single-server path, but against a [`ShardRouter`] over N
-/// shared-nothing shards with the mutable-database story exercised
+/// shards with the mutable-database story exercised
 /// mid-run. Phase 1 drives the base snapshot; between phases a delta is
-/// broadcast to every shard, every merged row is parity-checked against
+/// applied to the overlay every shard reads, every merged row is parity-checked against
 /// a from-scratch evaluation of the materialized merge, and the model
 /// is rolled shard-by-shard; phase 2 drives the merged database (over
 /// real TCP with `--net`) with a second roll injected under live
@@ -749,7 +749,7 @@ fn run_sharded(
 
     // Between phases: mutate the database. A delta the synth schema
     // itself dictates — fresh-keyed clones of live target rows plus one
-    // cell patch — broadcast to every shard in lockstep...
+    // cell patch — applied once to the overlay every shard reads...
     let batch = build_delta(&db, rows);
     let delta_stats = router
         .apply_delta(&batch)

@@ -30,7 +30,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossmine_core::CrossMine;
-use crossmine_relational::{Database, Row};
+use crossmine_relational::{AttrId, Database, DeltaBatch, RelId, Row, Value};
 use crossmine_serve::{
     evaluate_batch, ChaosConfig, CompiledPlan, ModelRegistry, NetConfig, PredictionServer,
     ServeScratch, ServerConfig, ShardRouter,
@@ -688,12 +688,137 @@ pub fn run_suite(config: &SuiteConfig, mut progress: impl FnMut(&str)) -> BenchR
         }
     }
 
+    // -- Serve: delta apply latency against history length ---------------
+    // One server, `history` accepted 2-insert/2-update batches, then the
+    // median apply time of the next few. An apply validates only its own
+    // batch, so the two entries should read alike.
+    for (name, history) in
+        [("serve.delta_apply.h10.R5.T200.F3", 10), ("serve.delta_apply.R5.T200.F3", 1000)]
+    {
+        if !wants(config, name) {
+            continue;
+        }
+        let mut runs = Vec::with_capacity(config.samples);
+        // Round 0 is a warmup excluded from the samples: it faults in the
+        // allocator's pages, which a young overlay would otherwise pay for.
+        for round in 0..=config.samples {
+            let server = PredictionServer::start(
+                Arc::clone(&db),
+                Arc::new(ModelRegistry::new(plan.clone())),
+                ServerConfig::default(),
+            )
+            .expect("default server config is valid");
+            // Started workers first, so no timed apply shares the CPU
+            // with thread start-up.
+            server.predict(rows[0]).expect("warmup predict runs clean");
+            let mut deltas = DeltaSource::new(&db);
+            for _ in 0..history {
+                server.apply_delta(&deltas.next(&db)).expect("generated deltas are valid");
+            }
+            let mut applies = Vec::with_capacity(DELTA_APPLIES);
+            for _ in 0..DELTA_APPLIES {
+                let batch = deltas.next(&db);
+                let start = Instant::now();
+                server.apply_delta(&batch).expect("generated deltas are valid");
+                applies.push(start.elapsed().as_secs_f64() * 1e6);
+            }
+            server.shutdown();
+            if round > 0 {
+                runs.push(median(&applies));
+            }
+        }
+        let sample = sample_from(name, "us", runs);
+        progress(&format!(
+            "{:<32} median {:.1} us (mad {:.1})",
+            sample.name, sample.median, sample.mad
+        ));
+        results.push(sample);
+    }
+
     BenchReport {
         schema_version: SCHEMA_VERSION,
         fingerprint: Fingerprint::current(),
         smoke: config.smoke,
         samples_per_bench: config.samples,
         results,
+    }
+}
+
+/// Timed applies per `serve.delta_apply.*` sample, after the history.
+const DELTA_APPLIES: usize = 15;
+
+/// Valid 2-insert/2-update batches against one base: fresh-keyed copies
+/// of a target row and of a row of another keyed relation (so every
+/// foreign key resolves), and two non-key cell updates of base rows.
+struct DeltaSource {
+    next_key: Vec<u64>,
+    /// Keyed non-target relations.
+    others: Vec<RelId>,
+    /// Non-key `(relation, attribute)` cells.
+    cells: Vec<(RelId, AttrId)>,
+    step: u64,
+}
+
+impl DeltaSource {
+    fn new(db: &Database) -> DeltaSource {
+        let target = db.target().expect("synthetic databases always set a target");
+        let next_key = db
+            .schema
+            .iter_relations()
+            .map(|(rid, rs)| {
+                rs.primary_key.map_or(0, |pk| {
+                    let keys = db.relation(rid).column(pk).iter().filter_map(|v| v.as_key());
+                    keys.max().unwrap_or(0) + 1
+                })
+            })
+            .collect();
+        let others = db
+            .schema
+            .iter_relations()
+            .filter(|(rid, rs)| {
+                *rid != target && rs.primary_key.is_some() && !db.relation(*rid).is_empty()
+            })
+            .map(|(rid, _)| rid)
+            .collect();
+        let cells = db
+            .schema
+            .iter_relations()
+            .filter(|(rid, _)| !db.relation(*rid).is_empty())
+            .flat_map(|(rid, rs)| {
+                rs.iter_attrs().filter(|(_, a)| !a.ty.is_key()).map(move |(aid, _)| (rid, aid))
+            })
+            .collect();
+        DeltaSource { next_key, others, cells, step: 0 }
+    }
+
+    fn next(&mut self, db: &Database) -> DeltaBatch {
+        self.step += 1;
+        let step = self.step;
+        let pick = |n: usize, salt: u64| {
+            ((step ^ salt << 32).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize % n
+        };
+        let target = db.target().expect("synthetic databases always set a target");
+        let mut batch = DeltaBatch::new();
+        let other = self.others.get(pick(self.others.len().max(1), 1)).copied();
+        for rel in std::iter::once(target).chain(other) {
+            let src = Row(pick(db.relation(rel).len(), 2) as u32);
+            let mut tuple = db.relation(rel).tuple(src);
+            let pk = db.schema.relation(rel).primary_key.expect("keyed relation");
+            tuple[pk.0] = Value::Key(self.next_key[rel.0]);
+            self.next_key[rel.0] += 1;
+            if rel == target {
+                batch.insert_labeled(rel, tuple, db.label(src));
+            } else {
+                batch.insert(rel, tuple);
+            }
+        }
+        for salt in [3, 4] {
+            let (rel, attr) = self.cells[pick(self.cells.len(), salt)];
+            let n = db.relation(rel).len();
+            let value = db.relation(rel).value(Row(pick(n, salt + 2) as u32), attr);
+            batch.update(rel, Row(pick(n, salt + 4) as u32), attr, value);
+        }
+        batch
     }
 }
 

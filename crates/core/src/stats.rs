@@ -44,7 +44,7 @@ use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use crossmine_relational::{AttrId, Database, JoinEdge, RelId, Value};
+use crossmine_relational::{AttrId, Database, JoinEdge, RelId};
 
 use crate::idset::TargetSet;
 use crate::propagation::{aggregate, AggStats, AnnView};
@@ -100,23 +100,23 @@ pub(crate) struct CatTable {
 
 impl CatTable {
     /// Groups `view`'s ids by their tuple's code on categorical attribute
-    /// `aid`: one pass sizes the groups and lists the joinable rows, a
-    /// second fills the groups from just those rows.
+    /// `aid`: one pass over the column sizes the groups (one per code up to
+    /// the larger of the declared cardinality and the largest code present)
+    /// and lists the joinable rows, a second fills the groups from just
+    /// those rows.
     pub(crate) fn build(db: &Database, rel: RelId, aid: AttrId, view: AnnView<'_>) -> Self {
         let column = db.relation(rel).column(aid);
-        let card = db.schema.relation(rel).attr(aid).cardinality().max(
-            column.iter().filter_map(Value::as_cat).map(|c| c as usize + 1).max().unwrap_or(0),
-        );
-        let mut ranges = vec![(0u32, 0u32); card];
+        let mut ranges = vec![(0u32, 0u32); db.schema.relation(rel).attr(aid).cardinality()];
         let mut joinable = Vec::new();
-        for (row, value) in column.iter().enumerate().take(view.num_rows()) {
-            let len = view.ids(row).len() as u32;
-            if len == 0 {
-                continue;
+        for (row, value) in column.iter().enumerate() {
+            let Some(c) = value.as_cat().map(|c| c as usize) else { continue };
+            if c >= ranges.len() {
+                ranges.resize(c + 1, (0, 0));
             }
-            if let Some(c) = value.as_cat() {
-                ranges[c as usize].1 += len;
-                joinable.push((c as usize, row));
+            let len = if row < view.num_rows() { view.ids(row).len() as u32 } else { 0 };
+            if len > 0 {
+                ranges[c].1 += len;
+                joinable.push((c, row));
             }
         }
         let mut total = 0u32;
@@ -600,7 +600,7 @@ mod tests {
     use crate::idset::IdSet;
     use crate::propagation::Annotation;
     use crossmine_relational::{
-        AttrType, Attribute, ClassLabel, DatabaseSchema, JoinKind, RelationSchema, Row,
+        AttrType, Attribute, ClassLabel, DatabaseSchema, JoinKind, RelationSchema, Row, Value,
     };
 
     fn tiny_db() -> (Database, Vec<bool>) {

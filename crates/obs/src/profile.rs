@@ -525,9 +525,14 @@ impl ProfilerCore {
     fn run_sampler(self: Arc<Self>) {
         let hz = self.cfg.hz.clamp(1, 10_000);
         let interval = Duration::from_nanos(1_000_000_000 / u64::from(hz));
-        while !self.stop.load(Ordering::Relaxed) {
-            self.sample_once();
+        // Sleep first: a sample taken the moment the thread starts would
+        // race whatever the starting thread does next.
+        loop {
             std::thread::sleep(interval);
+            if self.stop.load(Ordering::Relaxed) {
+                break;
+            }
+            self.sample_once();
         }
     }
 }

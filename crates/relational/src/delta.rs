@@ -1,27 +1,30 @@
 //! Append/update deltas over a frozen [`Database`] snapshot.
 //!
 //! Production databases churn while models serve. A [`DeltaBatch`] captures
-//! a set of row inserts and attribute updates; [`DeltaOverlay::build`]
-//! validates the whole batch against a base snapshot (arity, types,
-//! primary-key uniqueness, foreign-key resolution — including references to
-//! rows inserted *in the same batch* — and key-column immutability) and, on
-//! success, yields an overlay the serving layer can evaluate against
-//! without copying the base. [`Database::apply_delta`] materializes the
-//! same batch in place; the overlay and the materialized merge are defined
-//! to be observationally identical, which is what the serve crate's parity
-//! tests pin down.
+//! a set of row inserts and attribute updates; [`DeltaOverlay::push`]
+//! validates one batch against a base snapshot plus the batches already
+//! pushed (arity, types, primary-key uniqueness, foreign-key resolution —
+//! including references to rows inserted *in the same batch* — and
+//! key-column immutability) and, on success, extends the overlay the
+//! serving layer evaluates against without copying the base.
+//! [`DeltaOverlay::build`] is an empty overlay plus one `push`, and
+//! [`Database::apply_delta`] validates through it before materializing the
+//! batch in place; the overlay and the materialized merge are defined to be
+//! observationally identical, which is what the serve crate's parity tests
+//! pin down.
 //!
-//! Validation is all-or-nothing: a batch either builds an overlay (and can
-//! therefore be applied) or is rejected with a typed [`DataError`] and the
-//! base is untouched.
+//! Validation is all-or-nothing: a batch either extends the overlay (and
+//! can therefore be applied) or is rejected with a typed [`DataError`] and
+//! the overlay and the base are untouched.
 //!
 //! Restrictions, by design:
 //!
 //! * **Key columns are immutable.** Updating a primary or foreign key would
 //!   silently re-link join paths under a served plan; such updates are
 //!   rejected with [`DataError::KeyColumnUpdate`].
-//! * **Updates target base rows only.** A row inserted by the same batch is
-//!   fully specified by its insert — patch the insert instead.
+//! * **Updates target rows that exist before the batch**, base rows and
+//!   rows earlier batches inserted alike. A row inserted by the same batch
+//!   is fully specified by its insert — patch the insert instead.
 //! * **Target inserts carry labels.** Every insert into the target relation
 //!   must come with a [`ClassLabel`] (and only target inserts may), so the
 //!   merged database keeps its labels parallel to the target rows.
@@ -51,12 +54,13 @@ pub enum DeltaOp {
         /// The class label, for target-relation inserts.
         label: Option<ClassLabel>,
     },
-    /// Overwrite one non-key cell of an existing base row.
+    /// Overwrite one non-key cell of a row that exists before the batch.
     Update {
         /// The relation holding the row.
         rel: RelId,
-        /// The base row to patch (rows inserted by the same batch cannot
-        /// be updated — amend the insert instead).
+        /// The row to patch: a base row or one an earlier batch inserted
+        /// (rows inserted by the same batch cannot be updated — amend the
+        /// insert instead).
         row: Row,
         /// The attribute to overwrite. Key columns are rejected.
         attr: AttrId,
@@ -69,8 +73,8 @@ pub enum DeltaOp {
 /// [`Database`] snapshot.
 ///
 /// Building a batch never touches a database; validation happens in
-/// [`DeltaOverlay::build`] / [`Database::apply_delta`] so one batch can be
-/// checked against many snapshots (each shard validates independently).
+/// [`DeltaOverlay::push`] / [`Database::apply_delta`], so one batch can be
+/// checked against many snapshots.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DeltaBatch {
     ops: Vec<DeltaOp>,
@@ -99,7 +103,8 @@ impl DeltaBatch {
         self
     }
 
-    /// Queues an update of one non-key cell of base row `row`.
+    /// Queues an update of one non-key cell of row `row`, which must exist
+    /// before the batch.
     pub fn update(&mut self, rel: RelId, row: Row, attr: AttrId, value: Value) -> &mut Self {
         self.ops.push(DeltaOp::Update { rel, row, attr, value });
         self
@@ -126,10 +131,11 @@ impl DeltaBatch {
     }
 }
 
-/// A validated view of base + [`DeltaBatch`]: appended rows live in small
-/// per-relation tail [`Relation`]s, updates in per-relation patch maps.
+/// A validated view of base + the [`DeltaBatch`]es pushed so far: appended
+/// rows live in small per-relation tail [`Relation`]s, updates of base rows
+/// in per-relation patch maps, updates of appended rows in the tails.
 ///
-/// Every accessor takes the base `&Database` it was built against; the
+/// Every accessor takes the base `&Database` it was built on; the
 /// overlay stores the base's [`cache_stamp`](Database::cache_stamp) and
 /// debug-asserts it on access, so a stale pairing is caught in tests
 /// instead of silently mixing snapshots. [`DeltaOverlay::view`] reads the
@@ -137,7 +143,7 @@ impl DeltaBatch {
 #[derive(Debug, Clone)]
 pub struct DeltaOverlay {
     base_stamp: (u64, u64),
-    /// Base row count per relation at build time.
+    /// Base row count per relation.
     base_rows: Vec<u32>,
     /// Appended rows per relation (virtual rows `base_rows[rel]..`).
     tails: Vec<Relation>,
@@ -145,23 +151,99 @@ pub struct DeltaOverlay {
     /// overlay's side of [`Database::key_index`]. Key columns are never
     /// patched, so base-index hits stay valid.
     tail_keys: Vec<HashMap<(usize, u64), Vec<u32>>>,
-    /// `(base row, attr) -> value`, last write wins.
+    /// `(base row, attr) -> value`, last write wins. Updates of tail rows
+    /// overwrite the tail cell instead.
     patches: Vec<HashMap<(u32, usize), Value>>,
     /// Labels of target-relation tail rows, parallel to the target tail.
     tail_labels: Vec<ClassLabel>,
     updated_cells: usize,
 }
 
+/// Initial capacity of each relation's key and patch maps. Grown from
+/// empty, a young overlay's maps rehash every few batches, which made an
+/// apply after 10 deltas read twice the cost of one after 1 000.
+const INITIAL_ENTRIES: usize = 64;
+
 impl DeltaOverlay {
-    /// Validates `batch` against `base` and builds the overlay.
+    /// An overlay over `base` that changes nothing yet.
+    pub fn new(base: &Database) -> DeltaOverlay {
+        let nrels = base.schema.num_relations();
+        DeltaOverlay {
+            base_stamp: base.cache_stamp(),
+            base_rows: (0..nrels).map(|r| base.relation(RelId(r)).len() as u32).collect(),
+            tails: base.schema.relations.iter().map(Relation::new).collect(),
+            tail_keys: vec![HashMap::with_capacity(INITIAL_ENTRIES); nrels],
+            patches: vec![HashMap::with_capacity(INITIAL_ENTRIES); nrels],
+            tail_labels: Vec::new(),
+            updated_cells: 0,
+        }
+    }
+
+    /// Validates `batch` against `base` and builds the overlay: an empty
+    /// overlay plus [`push`](Self::push).
+    pub fn build(base: &Database, batch: &DeltaBatch) -> Result<DeltaOverlay> {
+        let mut overlay = DeltaOverlay::new(base);
+        overlay.push(base, batch)?;
+        Ok(overlay)
+    }
+
+    /// Validates `batch` against the merged database (`base` plus this
+    /// overlay) and, on success, extends the overlay with it. Costs
+    /// O(|batch|): earlier batches were validated when they were pushed.
     ///
     /// Checks, in order per op: relation/attribute existence, arity and
     /// value types (the [`Relation::push_checked`] matrix), primary-key
-    /// uniqueness against the base *and* within the batch, foreign-key
-    /// resolution against base primary keys *or* keys inserted anywhere in
-    /// the same batch (forward references allowed), label/target pairing,
-    /// update rows in base range, and key-column immutability.
-    pub fn build(base: &Database, batch: &DeltaBatch) -> Result<DeltaOverlay> {
+    /// uniqueness against the merged database *and* within the batch,
+    /// foreign-key resolution against merged primary keys *or* keys
+    /// inserted anywhere in the same batch (forward references allowed),
+    /// label/target pairing within the batch, update rows present before
+    /// the batch, and key-column immutability.
+    ///
+    /// All-or-nothing: on error the overlay is untouched.
+    pub fn push(&mut self, base: &Database, batch: &DeltaBatch) -> Result<()> {
+        self.check(base);
+        self.validate(base, batch)?;
+        for op in &batch.ops {
+            match op {
+                DeltaOp::Insert { rel, tuple, label } => {
+                    let row = self.base_rows[rel.0] + self.tails[rel.0].len() as u32;
+                    for (aid, attr) in base.schema.relation(*rel).iter_attrs() {
+                        if attr.ty.is_key() {
+                            if let Value::Key(k) = tuple[aid.0] {
+                                self.tail_keys[rel.0].entry((aid.0, k)).or_default().push(row);
+                            }
+                        }
+                    }
+                    self.tails[rel.0].push_unchecked(tuple.clone());
+                    // Validation paired every label with a target insert.
+                    if let Some(l) = label {
+                        self.tail_labels.push(*l);
+                    }
+                }
+                DeltaOp::Update { rel, row, attr, value } => {
+                    // A row an earlier batch inserted is patched in its
+                    // tail, exactly where the materialized merge holds it.
+                    match row.0.checked_sub(self.base_rows[rel.0]) {
+                        Some(tail_row) => self.tails[rel.0].set_value(Row(tail_row), *attr, *value),
+                        None => {
+                            self.patches[rel.0].insert((row.0, attr.0), *value);
+                        }
+                    }
+                    self.updated_cells += 1;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Whether key `k` is a primary key of `rel` in the merged database.
+    fn has_key(&self, base: &Database, rel: RelId, pk: AttrId, k: u64) -> bool {
+        !base.key_index(rel, pk).rows(k).is_empty()
+            || self.tail_keys[rel.0].contains_key(&(pk.0, k))
+    }
+
+    /// The checks of [`push`](Self::push), mutating nothing.
+    fn validate(&self, base: &Database, batch: &DeltaBatch) -> Result<()> {
         let nrels = base.schema.num_relations();
         for op in &batch.ops {
             let rel = match op {
@@ -171,21 +253,18 @@ impl DeltaOverlay {
                 return Err(SchemaError::UnknownRelation(format!("#{}", rel.0)).into());
             }
         }
-        let base_rows: Vec<u32> =
-            (0..nrels).map(|r| base.relation(RelId(r)).len() as u32).collect();
 
         // Phase 1: collect the batch's own primary keys so foreign keys may
         // reference rows inserted later in the same batch, and catch
-        // duplicates (within the batch and against the base) early.
+        // duplicates (within the batch and against the merged database)
+        // early.
         let mut batch_pks: Vec<HashSet<u64>> = vec![HashSet::new(); nrels];
         for op in &batch.ops {
             if let DeltaOp::Insert { rel, tuple, .. } = op {
                 let rschema = base.schema.relation(*rel);
                 if let Some(pk) = rschema.primary_key {
                     if let Some(Value::Key(k)) = tuple.get(pk.0) {
-                        if !batch_pks[rel.0].insert(*k)
-                            || !base.key_index(*rel, pk).rows(*k).is_empty()
-                        {
+                        if !batch_pks[rel.0].insert(*k) || self.has_key(base, *rel, pk, *k) {
                             return Err(DataError::DuplicateKey {
                                 relation: rschema.name.clone(),
                                 key: *k,
@@ -198,59 +277,43 @@ impl DeltaOverlay {
         }
 
         let target = base.schema.target().ok();
-        let mut tails: Vec<Relation> = base.schema.relations.iter().map(Relation::new).collect();
-        let mut tail_keys: Vec<HashMap<(usize, u64), Vec<u32>>> = vec![HashMap::new(); nrels];
-        let mut patches: Vec<HashMap<(u32, usize), Value>> = vec![HashMap::new(); nrels];
-        let mut tail_labels = Vec::new();
-        let mut updated_cells = 0usize;
         let mut target_inserts = 0usize;
+        let mut labels = 0usize;
         let mut stray_labels = 0usize;
-
         for op in &batch.ops {
             match op {
                 DeltaOp::Insert { rel, tuple, label } => {
                     let rschema = base.schema.relation(*rel);
-                    let row = tails[rel.0].push_checked(rschema, tuple.clone())?;
+                    Relation::check_tuple(rschema, tuple)?;
                     for (aid, attr) in rschema.iter_attrs() {
-                        let v = tuple[aid.0];
-                        if let AttrType::ForeignKey { target: tname } = &attr.ty {
-                            if let Value::Key(k) = v {
-                                let resolved = base
-                                    .schema
-                                    .rel_id(tname)
-                                    .and_then(|tid| {
-                                        base.schema.relation(tid).primary_key.map(|pk| (tid, pk))
-                                    })
-                                    .is_none_or(|(tid, pk)| {
-                                        !base.key_index(tid, pk).rows(k).is_empty()
-                                            || batch_pks[tid.0].contains(&k)
-                                    });
-                                if !resolved {
-                                    return Err(DataError::DanglingForeignKey {
-                                        relation: rschema.name.clone(),
-                                        attribute: attr.name.clone(),
-                                        key: k,
-                                    }
-                                    .into());
-                                }
+                        let (AttrType::ForeignKey { target: tname }, Value::Key(k)) =
+                            (&attr.ty, tuple[aid.0])
+                        else {
+                            continue;
+                        };
+                        let resolved = base
+                            .schema
+                            .rel_id(tname)
+                            .and_then(|tid| {
+                                base.schema.relation(tid).primary_key.map(|pk| (tid, pk))
+                            })
+                            .is_none_or(|(tid, pk)| {
+                                batch_pks[tid.0].contains(&k) || self.has_key(base, tid, pk, k)
+                            });
+                        if !resolved {
+                            return Err(DataError::DanglingForeignKey {
+                                relation: rschema.name.clone(),
+                                attribute: attr.name.clone(),
+                                key: k,
                             }
-                        }
-                        if attr.ty.is_key() {
-                            if let Value::Key(k) = v {
-                                tail_keys[rel.0]
-                                    .entry((aid.0, k))
-                                    .or_default()
-                                    .push(base_rows[rel.0] + row.0);
-                            }
+                            .into());
                         }
                     }
                     if Some(*rel) == target {
                         target_inserts += 1;
-                        if let Some(l) = label {
-                            tail_labels.push(*l);
-                        }
-                    } else if label.is_some() {
-                        stray_labels += 1;
+                        labels += usize::from(label.is_some());
+                    } else {
+                        stray_labels += usize::from(label.is_some());
                     }
                 }
                 DeltaOp::Update { rel, row, attr, value } => {
@@ -262,10 +325,12 @@ impl DeltaOverlay {
                         }
                         .into());
                     }
-                    if row.0 >= base_rows[rel.0] {
-                        return Err(DataError::RowOutOfRange {
+                    let rows = self.base_rows[rel.0] as usize + self.tails[rel.0].len();
+                    if row.0 as usize >= rows {
+                        return Err(DataError::UpdateRowOutOfRange {
+                            relation: rschema.name.clone(),
                             row: u64::from(row.0),
-                            num_targets: base_rows[rel.0] as usize,
+                            rows,
                         }
                         .into());
                     }
@@ -294,28 +359,17 @@ impl DeltaOverlay {
                         }
                         .into());
                     }
-                    patches[rel.0].insert((row.0, attr.0), *value);
-                    updated_cells += 1;
                 }
             }
         }
-        if tail_labels.len() != target_inserts || stray_labels > 0 {
+        if labels != target_inserts || stray_labels > 0 {
             return Err(DataError::MissingLabels {
                 rows: target_inserts,
-                labels: tail_labels.len() + stray_labels,
+                labels: labels + stray_labels,
             }
             .into());
         }
-
-        Ok(DeltaOverlay {
-            base_stamp: base.cache_stamp(),
-            base_rows,
-            tails,
-            tail_keys,
-            patches,
-            tail_labels,
-            updated_cells,
-        })
+        Ok(())
     }
 
     /// The base snapshot stamp this overlay was validated against.
@@ -370,7 +424,8 @@ impl DeltaOverlay {
         self.tails.iter().map(Relation::len).sum()
     }
 
-    /// Cells patched (distinct `(row, attr)` targets count once).
+    /// Update ops applied, across all pushed batches: each op counts once,
+    /// including repeated writes to the same cell.
     pub fn updated_cells(&self) -> usize {
         self.updated_cells
     }
@@ -478,7 +533,7 @@ impl TupleSource for MergedView<'_> {
 }
 
 impl Database {
-    /// Validates `batch` (exactly as [`DeltaOverlay::build`] does) and, on
+    /// Validates `batch` through [`DeltaOverlay::build`] and, on
     /// success, applies it in place: inserts append rows (and labels, for
     /// the target relation), updates overwrite cells, all in op order.
     /// Returns the number of ops applied. On error the database is
@@ -666,7 +721,7 @@ mod tests {
         batch.update(loan, Row(5), AttrId(2), Value::Num(1.0));
         assert!(matches!(
             DeltaOverlay::build(&db, &batch).unwrap_err(),
-            RelationalError::Data(DataError::RowOutOfRange { row: 5, num_targets: 5 })
+            RelationalError::Data(DataError::UpdateRowOutOfRange { row: 5, rows: 5, .. })
         ));
         // Wrong value type for the column.
         let mut batch = DeltaBatch::new();
@@ -733,6 +788,72 @@ mod tests {
         for row in merged.relation(loan).iter_rows() {
             assert_eq!(merged.label(row), overlay.label(&base, row));
         }
+    }
+
+    /// Every merged cell and target label of `overlay` over `base` equals
+    /// the materialized `merged`'s.
+    fn assert_matches_merge(base: &Database, overlay: &DeltaOverlay, merged: &Database) {
+        let view = overlay.view(base);
+        assert_eq!(merged.num_targets(), overlay.num_targets(base));
+        for (rid, rschema) in merged.schema.iter_relations() {
+            assert_eq!(merged.relation(rid).len(), view.num_rows(rid));
+            for aid in (0..rschema.arity()).map(AttrId) {
+                let Ok(column) = view.column(rid, aid);
+                assert_eq!(merged.relation(rid).column(aid), &column[..], "{rid:?} {aid:?}");
+            }
+        }
+        assert_eq!(
+            merged.labels(),
+            (0..merged.num_targets() as u32)
+                .map(|r| overlay.label(base, Row(r)))
+                .collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn push_validates_against_earlier_batches_and_patches_their_rows() {
+        let base = fig2_loan_account();
+        let (loan, account) = ids(&base);
+        let mut first = DeltaBatch::new();
+        first.insert(account, vec![Value::Key(500), Value::Cat(0), Value::Num(1.0)]);
+        first.insert_labeled(loan, loan_tuple(6, 500, 700.0), ClassLabel::POS);
+        let mut second = DeltaBatch::new();
+        // A loan on the first batch's account, and updates of both rows
+        // the first batch inserted (Loan row 5, Account row 4).
+        second.insert_labeled(loan, loan_tuple(7, 500, 800.0), ClassLabel::NEG);
+        second.update(loan, Row(5), AttrId(2), Value::Num(1.5));
+        second.update(account, Row(4), AttrId(1), Value::Cat(1));
+        second.update(loan, Row(0), AttrId(2), Value::Num(2.5));
+
+        let mut overlay = DeltaOverlay::build(&base, &first).unwrap();
+        overlay.push(&base, &second).unwrap();
+        let mut merged = base.clone();
+        merged.apply_delta(&first).unwrap();
+        merged.apply_delta(&second).unwrap();
+        assert_matches_merge(&base, &overlay, &merged);
+        assert_eq!((overlay.inserted_rows(), overlay.updated_cells()), (3, 3));
+
+        // Rejections leave the overlay as it was: a key the first batch
+        // inserted, an update of a row the same batch inserts, a row past
+        // the merged end.
+        let mut dup = DeltaBatch::new();
+        dup.insert(account, vec![Value::Key(501), Value::Cat(0), Value::Num(1.0)]);
+        dup.insert(account, vec![Value::Key(500), Value::Cat(0), Value::Num(1.0)]);
+        let mut same = DeltaBatch::new();
+        same.insert_labeled(loan, loan_tuple(8, 124, 1.0), ClassLabel::POS);
+        same.update(loan, Row(7), AttrId(2), Value::Num(1.0));
+        let mut past = DeltaBatch::new();
+        past.update(account, Row(5), AttrId(2), Value::Num(1.0));
+        for bad in [&dup, &same, &past] {
+            assert!(overlay.push(&base, bad).is_err());
+            assert!(merged.clone().apply_delta(bad).is_err());
+            assert_matches_merge(&base, &overlay, &merged);
+        }
+        let err = overlay.push(&base, &past).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "cannot update row 5 of `Account`: it held 5 rows before the batch"
+        );
     }
 
     #[test]

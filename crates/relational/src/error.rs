@@ -125,6 +125,16 @@ pub enum DataError {
         /// Number of rows in the target relation.
         num_targets: usize,
     },
+    /// A delta update named a row its relation did not hold before the
+    /// batch (out of range, or inserted by the same batch).
+    UpdateRowOutOfRange {
+        /// The relation the update targeted.
+        relation: String,
+        /// The offending row id.
+        row: u64,
+        /// Rows the relation held before the batch.
+        rows: usize,
+    },
     /// A training entry point was called with no training rows.
     EmptyTrainingSet,
     /// The target relation has rows without labels (or labels without
@@ -176,6 +186,10 @@ impl fmt::Display for DataError {
             DataError::RowOutOfRange { row, num_targets } => {
                 write!(f, "target row {row} out of range (target relation has {num_targets} rows)")
             }
+            DataError::UpdateRowOutOfRange { relation, row, rows } => write!(
+                f,
+                "cannot update row {row} of `{relation}`: it held {rows} rows before the batch"
+            ),
             DataError::EmptyTrainingSet => write!(f, "training set is empty"),
             DataError::MissingLabels { rows, labels } => {
                 write!(f, "target relation has {rows} rows but {labels} labels")

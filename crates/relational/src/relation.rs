@@ -36,12 +36,19 @@ impl Relation {
     }
 
     /// Appends one tuple after checking arity and value/attribute type
-    /// agreement against `schema`.
+    /// agreement against `schema` ([`Relation::check_tuple`]).
     pub fn push_checked(&mut self, schema: &RelationSchema, tuple: Vec<Value>) -> Result<Row> {
-        if tuple.len() != self.columns.len() {
+        Self::check_tuple(schema, &tuple)?;
+        Ok(self.push_unchecked(tuple))
+    }
+
+    /// Checks `tuple`'s arity and value/attribute type agreement against
+    /// `schema` without storing it.
+    pub(crate) fn check_tuple(schema: &RelationSchema, tuple: &[Value]) -> Result<()> {
+        if tuple.len() != schema.arity() {
             return Err(DataError::ArityMismatch {
                 relation: schema.name.clone(),
-                expected: self.columns.len(),
+                expected: schema.arity(),
                 got: tuple.len(),
             }
             .into());
@@ -68,7 +75,7 @@ impl Relation {
                 .into());
             }
         }
-        Ok(self.push_unchecked(tuple))
+        Ok(())
     }
 
     /// Appends one tuple without validation. Callers (the generators and the

@@ -45,9 +45,9 @@
 //! * [`request`] — the unified submission surface: one
 //!   [`ServeRequest`] builder (rows, deadline, trace, shard hint)
 //!   replaces the per-combination `submit*` methods.
-//! * [`shard`] — **sharded, shared-nothing serving**: a [`ShardRouter`]
-//!   hash-partitions the target relation across N full server shards,
-//!   each with its own queue, workers, overlay slot, and registry slot,
+//! * [`shard`] — **sharded serving**: a [`ShardRouter`] hash-partitions
+//!   the target relation across N full server shards, each with its own
+//!   queue, workers, and registry slot, all reading one delta overlay,
 //!   enabling zero-downtime *rolling* model installs
 //!   ([`ShardRouter::rolling_install`]).
 //!

@@ -44,10 +44,10 @@
 //! **Mutable databases** ride a delta overlay:
 //! [`PredictionServer::apply_delta`] validates a
 //! [`DeltaBatch`](crossmine_relational::DeltaBatch) against the immutable
-//! base snapshot and installs a [`DeltaOverlay`] the workers read through
-//! as one merged database — no recompile, no copy of the base, and
-//! batches already collected keep the overlay (or its absence) they
-//! started with.
+//! base snapshot plus the live [`DeltaOverlay`] and extends that overlay,
+//! which the workers read through as one merged database — no recompile,
+//! no copy of the base, no revalidation of earlier batches, and batches
+//! already collected keep the overlay (or its absence) they started with.
 
 use std::collections::VecDeque;
 use std::net::SocketAddr;
@@ -59,7 +59,7 @@ use std::time::{Duration, Instant};
 
 use crossmine_net::{NetConfig, NetListener, NetMetrics, Waker};
 use crossmine_obs::{LockTimer, ObsHandle, Profiler, TraceCtx, Tracer, ROOT_SPAN};
-use crossmine_relational::{ClassLabel, Database, DeltaBatch, DeltaOverlay, Row};
+use crossmine_relational::{ClassLabel, Database, DeltaBatch, DeltaOverlay, RelationalError, Row};
 
 use crossmine_core::explain::RowExplanation;
 
@@ -76,13 +76,54 @@ use crate::request::ServeRequest;
 use crate::shard::ShardConfig;
 use crate::telemetry::{TelemetryHandle, TelemetryShared};
 
-/// The overlay slot the workers read once per batch: `None` until the
-/// first [`PredictionServer::apply_delta`], then an [`Arc`] swapped whole
-/// so a batch is never scored under a torn delta.
-type OverlaySlot = Arc<RwLock<Option<Arc<DeltaOverlay>>>>;
+/// The delta overlay the workers read once per batch, shared by every
+/// shard of a [`ShardRouter`](crate::shard::ShardRouter). Appliers extend
+/// it copy-on-write: a batch holding the overlay keeps the snapshot it
+/// started with, and no batch ever scores under a torn delta.
+#[derive(Debug, Default)]
+pub(crate) struct OverlaySlot {
+    /// `None` until the first accepted delta.
+    live: RwLock<Option<Arc<DeltaOverlay>>>,
+    /// Serializes appliers; workers never touch it.
+    apply: Mutex<()>,
+}
 
-fn read_overlay(slot: &RwLock<Option<Arc<DeltaOverlay>>>) -> Option<Arc<DeltaOverlay>> {
-    slot.read().unwrap_or_else(PoisonError::into_inner).clone()
+impl OverlaySlot {
+    fn read(&self) -> Option<Arc<DeltaOverlay>> {
+        self.live.read().unwrap_or_else(PoisonError::into_inner).clone()
+    }
+
+    /// Validates `batch` against `base` plus the live overlay and extends
+    /// the overlay with it: in place when no batch holds the overlay, on a
+    /// copy swapped in whole when one does. A rejected batch changes
+    /// nothing.
+    pub(crate) fn apply(
+        &self,
+        base: &Database,
+        batch: &DeltaBatch,
+    ) -> Result<DeltaStats, ServeError> {
+        let invalid = |e: RelationalError| ServeError::InvalidDelta(e.to_string());
+        let _applier = self.apply.lock().unwrap_or_else(PoisonError::into_inner);
+        {
+            // `push` validates before it mutates and its mutation cannot
+            // fail, so even a poisoned lock guards a whole overlay.
+            let mut live = self.live.write().unwrap_or_else(PoisonError::into_inner);
+            if let Some(overlay) = live.as_mut().and_then(Arc::get_mut) {
+                overlay.push(base, batch).map_err(invalid)?;
+                return Ok(DeltaStats::of(overlay));
+            }
+        }
+        // Absent, or held by an in-flight batch: extend a copy off the
+        // lock, so workers never wait for the clone.
+        let mut next = match self.read() {
+            Some(overlay) => DeltaOverlay::clone(&overlay),
+            None => DeltaOverlay::new(base),
+        };
+        next.push(base, batch).map_err(invalid)?;
+        let stats = DeltaStats::of(&next);
+        *self.live.write().unwrap_or_else(PoisonError::into_inner) = Some(Arc::new(next));
+        Ok(stats)
+    }
 }
 
 /// Tunables of a [`PredictionServer`] (and, via [`ServerConfig::shard`],
@@ -189,7 +230,7 @@ const MAX_WORKERS: usize = 512;
 const MAX_BATCH_LIMIT: usize = 1 << 20;
 const MAX_QUEUE_CAPACITY: usize = 1 << 24;
 /// Largest shard count a [`ShardRouter`](crate::shard::ShardRouter)
-/// accepts. Shards are shared-nothing worker pools on one machine; more
+/// accepts. Shards are separate worker pools on one machine; more
 /// than this is certainly a misconfiguration.
 pub const MAX_SHARDS: usize = 64;
 
@@ -298,7 +339,7 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Number of shared-nothing shards
+    /// Number of shards
     /// ([`ShardRouter`](crate::shard::ShardRouter)); 1 means unsharded.
     pub fn shards(mut self, shards: usize) -> Self {
         self.config.shard = ShardConfig { shards };
@@ -345,11 +386,18 @@ pub struct ExplainedPrediction {
 pub struct DeltaStats {
     /// Rows the overlay adds on top of the base, across all relations.
     pub inserted_rows: usize,
-    /// Non-key cells the overlay patches over base rows (after last-write
-    /// dedup).
+    /// Update ops accepted so far; repeated writes to one cell each count.
     pub updated_cells: usize,
-    /// Operations in the cumulative delta history.
+    /// Operations accepted so far, inserts and updates.
     pub ops: usize,
+}
+
+impl DeltaStats {
+    fn of(overlay: &DeltaOverlay) -> DeltaStats {
+        let (inserted_rows, updated_cells) = (overlay.inserted_rows(), overlay.updated_cells());
+        // Every insert appends one row and every update counts once.
+        DeltaStats { inserted_rows, updated_cells, ops: inserted_rows + updated_cells }
+    }
 }
 
 /// One scored request.
@@ -619,13 +667,9 @@ pub struct PredictionServer {
     /// Mirrors `QueueState::shutdown` for lock-free reads by the telemetry
     /// thread (`/healthz` must not contend on the admission mutex).
     admission_closed: Arc<AtomicBool>,
-    /// The delta overlay the workers score against (None = base only).
-    overlay: OverlaySlot,
-    /// Every delta accepted so far, merged in arrival order; the next
-    /// [`apply_delta`](Self::apply_delta) extends and revalidates this so
-    /// the installed overlay is always the *cumulative* mutation history
-    /// against the immutable base.
-    pending_delta: Mutex<DeltaBatch>,
+    /// The delta overlay the workers score against (shared by the shards
+    /// of a router).
+    overlay: Arc<OverlaySlot>,
     telemetry: Option<TelemetryHandle>,
     net: Option<NetListener>,
 }
@@ -654,6 +698,17 @@ impl PredictionServer {
         db: Arc<Database>,
         registry: Arc<ModelRegistry>,
         config: ServerConfig,
+    ) -> Result<Self, ServeError> {
+        Self::start_with_overlay(db, registry, config, Arc::default())
+    }
+
+    /// [`start`](Self::start) with workers reading `overlay`, which the
+    /// shards of one router share.
+    pub(crate) fn start_with_overlay(
+        db: Arc<Database>,
+        registry: Arc<ModelRegistry>,
+        config: ServerConfig,
+        overlay: Arc<OverlaySlot>,
     ) -> Result<Self, ServeError> {
         validate_config(&config)?;
         if config.shard.shards > 1 {
@@ -692,7 +747,6 @@ impl PredictionServer {
             }
             None => None,
         };
-        let overlay: OverlaySlot = Arc::new(RwLock::new(None));
         // Contention attribution for hot swaps: the registry's history
         // mutex is timed into the `registry.swap` wait histogram. Only an
         // enabled profiler pins the once-settable slot, so a later enabled
@@ -768,7 +822,6 @@ impl PredictionServer {
             db,
             admission_closed,
             overlay,
-            pending_delta: Mutex::new(DeltaBatch::new()),
             telemetry,
             net,
         })
@@ -809,14 +862,14 @@ impl PredictionServer {
         handles.pop().expect("one handle per admitted row").wait()
     }
 
-    /// Validates `batch` against the base snapshot (merged with every
-    /// previously-accepted delta) and atomically installs the resulting
-    /// overlay: batches collected after this call score against base +
-    /// all deltas, batches already in flight keep what they started with.
-    /// No plan recompile, no base copy — the workers read base + overlay
-    /// as one merged view, and the result is byte-identical to
-    /// rebuilding the database with the rows materialized (the overlay
-    /// parity suite pins this).
+    /// Validates `batch` against the base snapshot merged with every
+    /// previously-accepted delta and extends the live overlay with it:
+    /// batches collected after this call score against base + all deltas,
+    /// batches already in flight keep what they started with. Costs
+    /// O(|batch|) — earlier deltas are not revalidated. No plan recompile,
+    /// no base copy — the workers read base + overlay as one merged view,
+    /// and the result is byte-identical to rebuilding the database with
+    /// the rows materialized (the overlay parity suite pins this).
     ///
     /// # Errors
     ///
@@ -831,29 +884,16 @@ impl PredictionServer {
         if self.admission_closed.load(Ordering::Acquire) {
             return Err(ServeError::ShuttingDown);
         }
-        // The pending-delta mutex serializes appliers; workers never touch
-        // it (they read the RwLock slot once per batch).
-        let mut pending = self.pending_delta.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut merged = pending.clone();
-        merged.extend(batch);
-        let overlay = DeltaOverlay::build(&self.db, &merged)
-            .map_err(|e| ServeError::InvalidDelta(e.to_string()))?;
-        let stats = DeltaStats {
-            inserted_rows: overlay.inserted_rows(),
-            updated_cells: overlay.updated_cells(),
-            ops: merged.len(),
-        };
-        *pending = merged;
-        *self.overlay.write().unwrap_or_else(PoisonError::into_inner) = Some(Arc::new(overlay));
-        drop(pending);
+        let stats = self.overlay.apply(&self.db, batch)?;
         self.config.obs.add("serve.deltas_applied", 1);
         Ok(stats)
     }
 
-    /// Whether a delta overlay is currently installed (i.e.
-    /// [`apply_delta`](Self::apply_delta) has succeeded at least once).
-    pub fn has_overlay(&self) -> bool {
-        self.overlay.read().unwrap_or_else(PoisonError::into_inner).is_some()
+    /// A snapshot of the live delta overlay (`None` before the first
+    /// accepted delta). Later applies never change a snapshot: they extend
+    /// a copy while one is held.
+    pub fn overlay(&self) -> Option<Arc<DeltaOverlay>> {
+        self.overlay.read()
     }
 
     /// Scores `row` with full provenance: the predicted label plus every
@@ -891,7 +931,7 @@ impl PredictionServer {
         // see exactly the data the predictions were scored against,
         // including rows/patches a delta added.
         let mut scratch = ServeScratch::with_obs(self.config.obs.clone());
-        let explanations = match read_overlay(&self.overlay) {
+        let explanations = match self.overlay.read() {
             Some(delta) => {
                 evaluate_batch_overlay_traced(&snap.plan, &self.db, &delta, rows, &mut scratch)
             }
@@ -1014,7 +1054,7 @@ fn worker_loop(
     registry: &ModelRegistry,
     metrics: &ServeMetrics,
     db: &Database,
-    overlay: &RwLock<Option<Arc<DeltaOverlay>>>,
+    overlay: &OverlaySlot,
     config: &ServerConfig,
 ) {
     // Root profile frame held for the thread's whole life: every wall
@@ -1126,7 +1166,7 @@ fn worker_loop(
         // batch: no torn reads, and a concurrent install or apply_delta
         // affects only later batches.
         let snap = registry.snapshot();
-        let delta = read_overlay(overlay);
+        let delta = overlay.read();
         // Queue wait ends here: the batch is collected and about to score;
         // the remaining latency is evaluation + reply delivery. Spans are
         // stamped once per distinct trace: the N rows of one wire batch

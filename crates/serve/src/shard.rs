@@ -1,13 +1,14 @@
-//! Sharded, shared-nothing serving: a [`ShardRouter`] hash-partitions the
-//! target relation across N independent [`PredictionServer`] shards.
+//! Sharded serving: a [`ShardRouter`] hash-partitions the target relation
+//! across N independent [`PredictionServer`] shards.
 //!
 //! Each shard is a full server in miniature — its own admission queue,
-//! worker pool, scratch buffers, metrics aggregate, delta overlay slot,
-//! and (crucially) its own [`ModelRegistry`] slot. Shards share the
-//! immutable base [`Database`] by `Arc`, and nothing else: no lock, no
-//! counter, no scratch crosses a shard boundary, so shards scale without
-//! coordination and a fault (a chaos panic, a poisoned queue) stays
-//! inside the shard it happened on.
+//! worker pool, scratch buffers, metrics aggregate, and (crucially) its
+//! own [`ModelRegistry`] slot. Shards share the immutable base
+//! [`Database`] and the delta overlay slot by `Arc`, and nothing else: no
+//! queue lock, no counter, no scratch crosses a shard boundary, so shards
+//! scale without coordination and a fault (a chaos panic, a poisoned
+//! queue) stays inside the shard it happened on. Workers only read the
+//! overlay slot, once per batch.
 //!
 //! **Routing** is a fixed multiplicative hash of the target row id
 //! ([`shard_of_row`]): deterministic across processes and restarts, so a
@@ -31,9 +32,10 @@
 //!               ▲ requests keep flowing; replies say which epoch
 //! ```
 //!
-//! **Deltas** broadcast: [`ShardRouter::apply_delta`] validates and
-//! installs the overlay on every shard, so any shard can answer any row
-//! (provenance included) against base + all accepted deltas.
+//! **Deltas** are validated once: [`ShardRouter::apply_delta`] extends
+//! the one overlay every shard reads, so any shard can answer any row
+//! (provenance included) against base + all accepted deltas, and shards
+//! 2..N do no delta work at all.
 //!
 //! The router's wire front end and telemetry endpoint are singletons that
 //! fan out: one TCP port routes rows to shard queues through the same
@@ -48,7 +50,7 @@ use std::time::{Duration, Instant};
 
 use crossmine_net::{Backend, BatchReply, NetListener, NetMetrics, Waker, WireReject};
 use crossmine_obs::{Profiler, TraceCtx};
-use crossmine_relational::{Database, DeltaBatch, Row};
+use crossmine_relational::{Database, DeltaBatch, DeltaOverlay, Row};
 
 use crate::error::ServeError;
 use crate::metrics::MetricsSnapshot;
@@ -57,7 +59,7 @@ use crate::plan::CompiledPlan;
 use crate::registry::ModelRegistry;
 use crate::request::ServeRequest;
 use crate::server::{
-    admit_all, validate_config, Admitter, DeltaStats, ExplainedPrediction, Prediction,
+    admit_all, validate_config, Admitter, DeltaStats, ExplainedPrediction, OverlaySlot, Prediction,
     PredictionHandle, PredictionServer, ServerConfig,
 };
 use crate::telemetry::{ShardTelemetry, TelemetryHandle, TelemetryShared};
@@ -66,8 +68,8 @@ use crate::telemetry::{ShardTelemetry, TelemetryHandle, TelemetryShared};
 /// [`ServerConfig::shard`]; the default (`shards: 1`) means unsharded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardConfig {
-    /// Number of shared-nothing shards. Each shard gets its own full
-    /// worker pool and queue (so total workers = `workers × shards`).
+    /// Number of shards. Each shard gets its own full worker pool and
+    /// queue (so total workers = `workers × shards`).
     /// Must be in `1..=`[`MAX_SHARDS`](crate::server::MAX_SHARDS).
     pub shards: usize,
 }
@@ -219,7 +221,8 @@ impl Backend for RouterBackend {
     }
 }
 
-/// N shared-nothing [`PredictionServer`] shards behind one routing front.
+/// N [`PredictionServer`] shards sharing one delta overlay behind one
+/// routing front.
 ///
 /// Start with [`ShardRouter::start`]; submit with the same
 /// [`ServeRequest`] a single server takes. Replies preserve per-row
@@ -246,8 +249,9 @@ impl std::fmt::Debug for ShardRouter {
 }
 
 impl ShardRouter {
-    /// Starts `config.shard.shards` shared-nothing shards over `db`, each
-    /// with its own registry slot initially holding `plan`.
+    /// Starts `config.shard.shards` shards over `db`, each with its own
+    /// registry slot initially holding `plan`, all reading one delta
+    /// overlay.
     ///
     /// The router owns the optional wire front end and telemetry endpoint
     /// (`config.net` / `config.telemetry_addr`); the shards themselves
@@ -266,6 +270,7 @@ impl ShardRouter {
         validate_config(&config)?;
         let n = config.shard.shards;
         let admission_closed = Arc::new(AtomicBool::new(false));
+        let overlay = Arc::new(OverlaySlot::default());
         let mut shards = Vec::with_capacity(n);
         for k in 0..n {
             let registry = Arc::new(ModelRegistry::new(plan.clone()));
@@ -274,7 +279,12 @@ impl ShardRouter {
             shard_config.shard_id = Some(k as u32);
             shard_config.telemetry_addr = None;
             shard_config.net = None;
-            shards.push(PredictionServer::start(Arc::clone(&db), registry, shard_config)?);
+            shards.push(PredictionServer::start_with_overlay(
+                Arc::clone(&db),
+                registry,
+                shard_config,
+                Arc::clone(&overlay),
+            )?);
         }
         let router = Arc::new(RouterBackend {
             admitters: shards.iter().map(|s| s.admitter().clone()).collect(),
@@ -417,19 +427,22 @@ impl ShardRouter {
         Ok(out.into_iter().map(|e| e.expect("every input row explained")).collect())
     }
 
-    /// Validates `batch` once per shard against the shared base and
-    /// installs the overlay on **every** shard, so any shard answers any
-    /// row against base + all accepted deltas. Validation is
-    /// deterministic against the immutable base and the (identical)
-    /// per-shard delta history, so the shards accept or reject in
-    /// lockstep; the first rejection aborts the broadcast with nothing
-    /// installed anywhere.
+    /// Validates `batch` once against the shared base plus the accepted
+    /// deltas and extends the overlay **every** shard reads, so any shard
+    /// answers any row against base + all accepted deltas. A rejected
+    /// batch changes nothing on any shard. Same contract and errors as
+    /// [`PredictionServer::apply_delta`].
     pub fn apply_delta(&self, batch: &DeltaBatch) -> Result<DeltaStats, ServeError> {
-        let mut stats = None;
-        for shard in &self.shards {
-            stats = Some(shard.apply_delta(batch)?);
-        }
-        stats.ok_or_else(|| ServeError::InvalidConfig("router has no shards".into()))
+        // The shards share one overlay slot: extending it through the
+        // first extends it for all of them.
+        let first = self.shards.first().ok_or(ServeError::ShuttingDown)?;
+        first.apply_delta(batch)
+    }
+
+    /// A snapshot of the overlay every shard reads (see
+    /// [`PredictionServer::overlay`]).
+    pub fn overlay(&self) -> Option<Arc<DeltaOverlay>> {
+        self.shards.first().and_then(PredictionServer::overlay)
     }
 
     /// Installs `plan` on every shard at once (each install is the usual

@@ -69,10 +69,10 @@ fn served_overlay_matches_a_server_over_the_materialized_merge() {
     let rows: Vec<Row> = (0..merged.num_targets() as u32).map(Row).collect();
 
     let overlay_server = start_server(Arc::new(base), &plan);
-    assert!(!overlay_server.has_overlay());
+    assert!(overlay_server.overlay().is_none());
     let stats = overlay_server.apply_delta(&batch).expect("valid delta");
     assert_eq!((stats.inserted_rows, stats.updated_cells, stats.ops), (3, 1, 4));
-    assert!(overlay_server.has_overlay());
+    assert!(overlay_server.overlay().is_some());
 
     let merged_server = start_server(Arc::new(merged), &plan);
     for &row in &rows {
@@ -155,7 +155,7 @@ fn dangling_fk_is_a_typed_invalid_delta_and_leaves_the_overlay_unchanged() {
     };
     assert!(reason.contains("9999"), "the reason names the dangling key: {reason}");
     assert!(!err.is_retryable(), "resubmitting the same bad batch cannot help");
-    assert!(!server.has_overlay(), "a rejected batch installs nothing");
+    assert!(server.overlay().is_none(), "a rejected batch installs nothing");
 
     // The server still answers exactly as before the rejected batch.
     for (i, label) in expected.iter().enumerate() {
@@ -208,6 +208,74 @@ fn deltas_accumulate_and_later_batches_see_earlier_inserts() {
         );
     }
     merged_server.shutdown();
+    server.shutdown();
+}
+
+/// An update of a row an *earlier* accepted batch inserted is valid on
+/// the materialized path (the row is part of the database by then), so
+/// the server must accept it too and read the patched cells exactly as
+/// the merge does. An update of a row inserted by the *same* batch stays
+/// rejected on both paths.
+#[test]
+fn updates_of_rows_inserted_by_an_earlier_batch_match_the_merge() {
+    let base = fig2_loan_account();
+    let plan = plan_for(&base);
+    let loan = base.schema.rel_id("Loan").unwrap();
+    let account = base.schema.rel_id("Account").unwrap();
+
+    let mut merged = base.clone();
+    let server = start_server(Arc::new(base.clone()), &plan);
+
+    let mut first = DeltaBatch::new();
+    first.insert(account, vec![Value::Key(700), Value::Cat(1), Value::Num(980214.0)]);
+    first.insert_labeled(
+        loan,
+        vec![
+            Value::Key(8),
+            Value::Key(700),
+            Value::Num(3000.0),
+            Value::Num(36.0),
+            Value::Num(95.0),
+        ],
+        ClassLabel::NEG,
+    );
+    server.apply_delta(&first).expect("first batch valid");
+    merged.apply_delta(&first).unwrap();
+
+    // Row 5 of Loan and row 4 of Account exist only since `first`.
+    let mut second = DeltaBatch::new();
+    second.update(loan, Row(5), AttrId(2), Value::Num(100.0));
+    second.update(account, Row(4), AttrId(2), Value::Num(960101.0));
+    second.update(loan, Row(5), AttrId(4), Value::Num(1.0));
+    merged.apply_delta(&second).expect("the materialized path accepts cross-batch updates");
+    let stats = server.apply_delta(&second).expect("the server accepts them too");
+    assert_eq!((stats.inserted_rows, stats.updated_cells, stats.ops), (2, 3, 5));
+
+    let rows: Vec<Row> = (0..merged.num_targets() as u32).map(Row).collect();
+    let merged_server = start_server(Arc::new(merged), &plan);
+    for &row in &rows {
+        assert_eq!(
+            server.predict(row).unwrap().label,
+            merged_server.predict(row).unwrap().label,
+            "row {}",
+            row.0
+        );
+    }
+    let got = server.explain_batch(&rows).unwrap();
+    let want = merged_server.explain_batch(&rows).unwrap();
+    for (g, w) in got.iter().zip(&want) {
+        assert_eq!(g.explanation, w.explanation);
+    }
+    merged_server.shutdown();
+
+    // Same-batch insert-then-update: rejected on both paths.
+    let mut same = DeltaBatch::new();
+    same.insert(account, vec![Value::Key(701), Value::Cat(0), Value::Num(0.0)]);
+    same.update(account, Row(5), AttrId(2), Value::Num(1.0));
+    let mut twin = base;
+    twin.apply_delta(&first).unwrap();
+    assert!(twin.apply_delta(&same).is_err());
+    assert!(matches!(server.apply_delta(&same), Err(ServeError::InvalidDelta(_))));
     server.shutdown();
 }
 
