@@ -181,8 +181,9 @@ impl Decoder {
                     Self::push_insert(&mut batch, rel, tuple, label);
                     inserted[rel.0] += 1;
                 }
-                // An update of a non-key cell of a row an earlier batch
-                // inserted where there is one, else of a base row (valid).
+                // An update of a non-key cell (valid): kinds 6–9 pick a
+                // row an earlier batch inserted where there is one, kind 10
+                // any row present.
                 6..=10 if !plain.is_empty() => {
                     let tails: Vec<(RelId, AttrId)> = plain
                         .iter()
