@@ -80,7 +80,7 @@ fn bench_literal_search(c: &mut Criterion) {
             let mut stamp = Stamp::new(db.num_targets());
             b.iter(|| {
                 std::hint::black_box(best_constraint_in(
-                    &db, edge.to, &ann, &targets, &is_pos, &mut stamp, &params, true,
+                    &db, edge.to, &ann, &targets, &mut stamp, &params, true,
                 ))
             });
         });

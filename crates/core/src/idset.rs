@@ -83,23 +83,33 @@ impl FromIterator<u32> for IdSet {
 
 /// A subset of the target relation's rows with cached pos/neg counts,
 /// representing the targets satisfying the current clause.
+///
+/// Each target carries one class byte: [`TargetSet::class`] is 0 for a
+/// non-member, 1 for a negative member and 2 for a positive one. The scorers
+/// tally a group of distinct ids by summing these bytes, with no membership
+/// branch and no separate positivity lookup.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TargetSet {
-    bits: Vec<bool>,
+    classes: Vec<u8>,
     pos: usize,
     neg: usize,
+}
+
+/// The class byte of a target labelled `positive`.
+fn class_byte(positive: bool) -> u8 {
+    1 + u8::from(positive)
 }
 
 impl TargetSet {
     /// Builds a set over `is_pos.len()` targets containing exactly `rows`.
     pub fn from_rows(is_pos: &[bool], rows: impl IntoIterator<Item = Row>) -> Self {
-        let mut bits = vec![false; is_pos.len()];
+        let mut classes = vec![0u8; is_pos.len()];
         let mut pos = 0;
         let mut neg = 0;
         for r in rows {
             let i = r.0 as usize;
-            if !bits[i] {
-                bits[i] = true;
+            if classes[i] == 0 {
+                classes[i] = class_byte(is_pos[i]);
                 if is_pos[i] {
                     pos += 1;
                 } else {
@@ -107,13 +117,13 @@ impl TargetSet {
                 }
             }
         }
-        TargetSet { bits, pos, neg }
+        TargetSet { classes, pos, neg }
     }
 
     /// The full set of targets.
     pub fn all(is_pos: &[bool]) -> Self {
         TargetSet {
-            bits: vec![true; is_pos.len()],
+            classes: is_pos.iter().map(|&p| class_byte(p)).collect(),
             pos: is_pos.iter().filter(|&&p| p).count(),
             neg: is_pos.iter().filter(|&&p| !p).count(),
         }
@@ -141,45 +151,64 @@ impl TargetSet {
 
     /// Capacity (total number of target rows, member or not).
     pub fn capacity(&self) -> usize {
-        self.bits.len()
+        self.classes.len()
     }
 
     /// Membership test.
     #[inline]
     pub fn contains(&self, id: u32) -> bool {
-        self.bits[id as usize]
+        self.classes[id as usize] != 0
     }
 
-    /// Removes a member (no-op when absent).
-    pub fn remove(&mut self, id: u32, is_pos: &[bool]) {
-        let i = id as usize;
-        if self.bits[i] {
-            self.bits[i] = false;
-            if is_pos[i] {
-                self.pos -= 1;
-            } else {
-                self.neg -= 1;
-            }
+    /// The class byte of `id`: 0 when it is not a member, 1 for a negative
+    /// member, 2 for a positive one.
+    #[inline]
+    pub fn class(&self, id: u32) -> u8 {
+        self.classes[id as usize]
+    }
+
+    /// The positive and negative members among `ids`, which must be
+    /// distinct.
+    #[inline]
+    pub fn tally(&self, ids: &[u32]) -> (usize, usize) {
+        let mut sum = 0usize;
+        let mut pos = 0usize;
+        for &id in ids {
+            let c = self.classes[id as usize];
+            sum += usize::from(c);
+            pos += usize::from(c >> 1);
+        }
+        (pos, sum - 2 * pos)
+    }
+
+    /// Removes a member (no-op when absent). `is_pos` is the flags the set
+    /// was built from; the set already knows each member's class.
+    pub fn remove(&mut self, id: u32, _is_pos: &[bool]) {
+        let class = std::mem::take(&mut self.classes[id as usize]);
+        match class {
+            0 => {}
+            1 => self.neg -= 1,
+            _ => self.pos -= 1,
         }
     }
 
-    /// Intersects with `other` membership given by a predicate.
-    pub fn retain(&mut self, is_pos: &[bool], mut keep: impl FnMut(u32) -> bool) {
-        for (i, bit) in self.bits.iter_mut().enumerate() {
-            if *bit && !keep(i as u32) {
-                *bit = false;
-                if is_pos[i] {
-                    self.pos -= 1;
-                } else {
+    /// Keeps only the members for which `keep` holds.
+    pub fn retain(&mut self, mut keep: impl FnMut(u32) -> bool) {
+        for (i, class) in self.classes.iter_mut().enumerate() {
+            if *class != 0 && !keep(i as u32) {
+                if *class == 1 {
                     self.neg -= 1;
+                } else {
+                    self.pos -= 1;
                 }
+                *class = 0;
             }
         }
     }
 
     /// Iterator over member rows, ascending.
     pub fn iter(&self) -> impl Iterator<Item = Row> + '_ {
-        self.bits.iter().enumerate().filter(|(_, &b)| b).map(|(i, _)| Row(i as u32))
+        self.classes.iter().enumerate().filter(|(_, &c)| c != 0).map(|(i, _)| Row(i as u32))
     }
 }
 
@@ -297,7 +326,7 @@ mod tests {
         s.remove(0, &is_pos);
         s.remove(0, &is_pos); // idempotent
         assert_eq!((s.pos(), s.neg()), (1, 1));
-        s.retain(&is_pos, |id| id == 2);
+        s.retain(|id| id == 2);
         assert_eq!((s.pos(), s.neg()), (1, 0));
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![Row(2)]);
     }

@@ -17,7 +17,8 @@
 //! source and queued for insert, or — with the store off
 //! (`stats_cache_budget_bytes == 0`) — the live propagation scored in
 //! place. Each source supplies the annotation look-one-ahead propagates
-//! from, the fan-out test, and the scorer.
+//! from and the scorer, and the §4.3 fan-out test is decided once per unit
+//! as its source is resolved.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -34,7 +35,7 @@ use crate::params::CrossMineParams;
 use crate::propagation::{AnnView, ClauseState, PropagationScratch};
 use crate::sampling::{safe_negative_estimate, sample_negatives};
 use crate::search::{best_constraint_cached, best_constraint_in, ScoredConstraint};
-use crate::stats::{filtered_fanout, CachedEntry, PathKey, SourceSig};
+use crate::stats::{fanout_exceeds, CachedEntry, PathKey, SourceSig};
 
 /// A candidate complex literal with its score.
 #[derive(Debug, Clone)]
@@ -157,16 +158,6 @@ impl ScoreSource<'_> {
         }
     }
 
-    /// The §4.3 fan-out. An entry is a superset of the live annotation, so
-    /// its fan-out *filtered through the live targets* equals the live
-    /// `avg_fanout`: both sources make the same skip decisions.
-    fn fanout(&self, targets: &TargetSet) -> f64 {
-        match self {
-            ScoreSource::Live(view) => view.avg_fanout(),
-            ScoreSource::Entry(entry) => filtered_fanout(entry.view(), targets),
-        }
-    }
-
     /// The best constraint of `unit` under `learner`'s search context.
     fn score(
         &self,
@@ -175,14 +166,14 @@ impl ScoreSource<'_> {
         targets: &TargetSet,
         stamp: &mut Stamp,
     ) -> Option<ScoredConstraint> {
-        let ClauseLearner { db, params, is_pos, .. } = learner;
+        let ClauseLearner { db, params, .. } = learner;
         let (rel, aggs) = (unit.rel, unit.aggs);
         match self {
             ScoreSource::Live(view) => {
-                best_constraint_in(db, rel, *view, targets, is_pos, stamp, params, aggs)
+                best_constraint_in(db, rel, *view, targets, stamp, params, aggs)
             }
             ScoreSource::Entry(entry) => {
-                best_constraint_cached(db, rel, entry, targets, is_pos, stamp, params, aggs)
+                best_constraint_cached(db, rel, entry, targets, stamp, params, aggs)
             }
         }
     }
@@ -504,10 +495,10 @@ impl<'a> ClauseLearner<'a> {
         let _candidate = obs.span("search.candidate_relation");
         let WorkerScratch { stamp, hop1, hop2 } = ws;
         let origin = self.origin(state, group.source, group.head.prep.as_ref());
-        let head = self.score_source(state, &group.head, origin, hop1, pending);
-        if !self.score_unit(state, &group.head, &head, stamp, best) {
+        let Some(head) = self.score_source(state, &group.head, origin, hop1, stamp, pending) else {
             return;
-        }
+        };
+        self.score_unit(state, &group.head, &head, stamp, best);
         let _lookahead = if group.lookahead.is_empty() {
             crossmine_obs::SpanGuard::disabled()
         } else {
@@ -515,27 +506,39 @@ impl<'a> ClauseLearner<'a> {
             obs.span("search.look_one_ahead")
         };
         for unit in &group.lookahead {
-            let source = self.score_source(state, unit, head.view(), hop2, pending);
-            self.score_unit(state, unit, &source, stamp, best);
+            if let Some(source) = self.score_source(state, unit, head.view(), hop2, stamp, pending)
+            {
+                self.score_unit(state, unit, &source, stamp, best);
+            }
         }
     }
 
-    /// Where `unit`'s counts come from: its count-store hit; else the
-    /// propagation of `origin` across the unit's last edge (through
-    /// `scratch`), scored in place when the store is off, or built into a
-    /// fresh entry queued for insert on a miss. `origin` is a superset of
-    /// the live annotation on a miss, and propagation commutes with target
-    /// restriction, so the entry is superset-valid too.
+    /// Where `unit`'s counts come from, or `None` when the §4.3 fan-out
+    /// bound skips it (local units are never skipped): its count-store hit;
+    /// else the propagation of `origin` across the unit's last edge
+    /// (through `scratch`), scored in place when the store is off, or built
+    /// into a fresh entry queued for insert on a miss. `origin` is a
+    /// superset of the live annotation on a miss, and propagation commutes
+    /// with target restriction, so the entry is superset-valid too.
+    ///
+    /// Every source is tested against the live targets: an entry's fan-out
+    /// filtered through them equals the live `avg_fanout`, so hits, fresh
+    /// entries and live views skip alike. A fresh entry is tested once,
+    /// before its tables are built.
     fn score_source<'s>(
         &self,
         state: &ClauseState<'_>,
         unit: &Unit,
         origin: AnnView<'s>,
         scratch: &'s mut PropagationScratch,
+        stamp: &mut Stamp,
         pending: &mut Vec<PendingInsert>,
-    ) -> ScoreSource<'s> {
+    ) -> Option<ScoreSource<'s>> {
+        let limit = if unit.path.is_empty() { None } else { self.params.max_fanout };
+        let targets = &state.targets;
         if let Some(Prepared { entry: Some(entry), .. }) = &unit.prep {
-            return ScoreSource::Entry(Arc::clone(entry));
+            return (!entry.fanout_exceeds(targets, limit))
+                .then(|| ScoreSource::Entry(Arc::clone(entry)));
         }
         let view = match unit.path.last() {
             Some(edge) => {
@@ -545,31 +548,27 @@ impl<'a> ClauseLearner<'a> {
             None => origin,
         };
         let Some(prep) = &unit.prep else {
-            return ScoreSource::Live(view);
+            let exceeded = fanout_exceeds(view, view.longest_row(), targets, limit);
+            return (!exceeded).then_some(ScoreSource::Live(view));
         };
         // Tables are only worth building when this round will score them; a
         // fan-out-exceeded propagation caches just the CSR so the skip
         // itself replays for free.
-        let exceeded =
-            !unit.path.is_empty() && self.fanout_exceeded(filtered_fanout(view, &state.targets));
-        let entry = Arc::new(CachedEntry::build(
-            self.db,
-            unit.rel,
-            view,
-            &self.all_targets,
-            !exceeded,
-            unit.aggs,
-        ));
+        let mut entry = CachedEntry::new(view);
+        let exceeded = entry.fanout_exceeds(targets, limit);
+        if !exceeded {
+            entry.build_tables(self.db, unit.rel, &self.all_targets, unit.aggs, stamp);
+        }
+        let entry = Arc::new(entry);
         pending.push(PendingInsert {
             unit: unit.index,
             key: prep.key.clone(),
             entry: Arc::clone(&entry),
         });
-        ScoreSource::Entry(entry)
+        (!exceeded).then_some(ScoreSource::Entry(entry))
     }
 
-    /// Scores `unit` from `source` into `best`; false when the §4.3 fan-out
-    /// bound skips a propagated unit (local units are never skipped).
+    /// Scores `unit` from `source` into `best`.
     fn score_unit(
         &self,
         state: &ClauseState<'_>,
@@ -577,20 +576,12 @@ impl<'a> ClauseLearner<'a> {
         source: &ScoreSource<'_>,
         stamp: &mut Stamp,
         best: &mut Option<Candidate>,
-    ) -> bool {
-        if !unit.path.is_empty() && self.fanout_exceeded(source.fanout(&state.targets)) {
-            return false;
-        }
+    ) {
         if let Some(score) = source.score(self, unit, &state.targets, stamp) {
             let literal =
                 ComplexLiteral { path: unit.path.clone(), constraint: score.constraint.clone() };
             reduce(best, Candidate { unit: unit.index, literal, score });
         }
-        true
-    }
-
-    fn fanout_exceeded(&self, fanout: f64) -> bool {
-        self.params.max_fanout.is_some_and(|limit| fanout > limit as f64)
     }
 
     /// The count-store source signature of active relation `rel` in `state`:

@@ -163,6 +163,11 @@ impl<'a> AnnView<'a> {
         (0..self.num_rows()).filter(|&r| !self.ids(r).is_empty()).count()
     }
 
+    /// The most ids any one tuple carries (zero for an empty view).
+    pub fn longest_row(&self) -> usize {
+        (0..self.num_rows()).map(|r| self.ids(r).len()).max().unwrap_or(0)
+    }
+
     /// Average IDs per joinable tuple (the §4.3 fan-out), zero when nothing
     /// is joinable.
     pub fn avg_fanout(&self) -> f64 {
@@ -630,7 +635,7 @@ impl<'a, S: TupleSource> ClauseState<'a, S> {
         };
         let surviving = constrain(self.db, &lit.constraint, &mut ann, &self.targets, stamp)?;
         // Shrink the surviving-target set.
-        self.targets.retain(self.is_pos, |id| surviving.is_marked(id));
+        self.targets.retain(|id| surviving.is_marked(id));
         // Update IDs on every active relation.
         for slot in self.annotations.iter_mut().flatten() {
             slot.restrict_to(&self.targets);

@@ -2,22 +2,24 @@
 //!
 //! Given a relation that tuple IDs have been propagated to, find the
 //! categorical, numerical, or aggregation constraint with the highest foil
-//! gain. Categorical attributes are bucketed by value; numerical attributes
-//! are swept through their sorted index ascending (for `A ≤ v`) and
-//! descending (for `A ≥ v`) while growing a stamped pool of covered target
-//! IDs; aggregation literals first compute per-target statistics and then
-//! reuse the numerical sweep over those per-target values.
+//! gain. Categorical attributes are bucketed by value into groups of
+//! distinct ids, each tallied by summing the live targets' class bytes;
+//! numerical attributes are swept through their sorted index ascending (for
+//! `A ≤ v`) and descending (for `A ≥ v`) while growing a stamped pool of
+//! covered target IDs; aggregation literals first compute per-target
+//! statistics, order the targets by each aggregate's value, and sweep that
+//! order the same two ways.
 
-use std::borrow::Cow;
-
-use crossmine_relational::{AttrId, Database, RelId};
+use crossmine_relational::{Database, RelId};
 
 use crate::gain::foil_gain;
 use crate::idset::{Stamp, TargetSet};
-use crate::literal::{AggOp, CmpOp, Constraint, ConstraintKind};
+use crate::literal::{CmpOp, Constraint, ConstraintKind};
 use crate::params::CrossMineParams;
-use crate::propagation::{aggregate, AggStats, AnnView};
-use crate::stats::{num_entries, CachedEntry, CatTable, Tables};
+use crate::propagation::AnnView;
+use crate::stats::{
+    joinable_rows, num_entries, AggColumn, AggTables, CachedEntry, CatTable, Tables,
+};
 
 /// A constraint together with its foil gain and coverage.
 #[derive(Debug, Clone)]
@@ -35,49 +37,45 @@ pub struct ScoredConstraint {
 /// Finds the best constraint in `rel` under annotation view `ann` (owned
 /// [`crate::propagation::Annotation`]s convert implicitly; the parallel
 /// search passes CSR scratch views), where the current clause covers
-/// `targets`. `allow_aggregation` is false for the target relation
-/// (aggregating a target tuple over itself is meaningless) and when the
-/// params disable aggregation literals.
-#[allow(clippy::too_many_arguments)] // the full search context is irreducible
+/// `targets`. `stamp` must cover every target id. `allow_aggregation` is
+/// false for the target relation (aggregating a target tuple over itself is
+/// meaningless) and when the params disable aggregation literals.
 pub fn best_constraint_in<'a>(
     db: &Database,
     rel: RelId,
     ann: impl Into<AnnView<'a>>,
     targets: &TargetSet,
-    is_pos: &[bool],
     stamp: &mut Stamp,
     params: &CrossMineParams,
     allow_aggregation: bool,
 ) -> Option<ScoredConstraint> {
     let with_aggs = allow_aggregation && params.aggregation_literals;
-    score_relation(db, rel, Counts::View(ann.into()), targets, is_pos, stamp, params, with_aggs)
+    score_relation(db, rel, Counts::View(ann.into()), targets, stamp, params, with_aggs)
 }
 
 /// [`best_constraint_in`] over a count-store entry: the same candidates in
 /// the same order, but categorical groups, numerical sweep inputs and
-/// per-target aggregates come from the entry's precomputed tables.
+/// aggregate orders come from the entry's precomputed tables.
 ///
 /// Parity with the live search: the entry was built from a *superset* of
 /// the live annotation, and every tally filters through the live `targets`.
-/// Filtered categorical groups equal the live ones exactly. The
-/// numerical/aggregate sweeps may see extra ("phantom") rows whose ids all
-/// filter out: a phantom distinct value emits the same `(p, n)` as the
-/// previous emission (a gain tie, which the strict `>` in
-/// [`score_relation`] never prefers) or `p == 0` (skipped), so the chosen
-/// constraint and score are byte-identical — only the
-/// `literals_considered` counter can differ.
+/// Filtered categorical groups equal the live ones exactly, and so does a
+/// live target's aggregate (it joins the same tuples in both). The
+/// numerical sweep may see extra ("phantom") rows whose ids all filter out:
+/// a phantom distinct value emits the same `(p, n)` as the previous
+/// emission (a gain tie, which the strict `>` in [`score_relation`] never
+/// prefers) or `p == 0` (skipped), so the chosen constraint and score are
+/// byte-identical — only the `literals_considered` counter can differ.
 ///
 /// Tallies the entry's cached annotation instead when the tables are absent
 /// (fan-out-exceeded at build time) or lack the aggregate side this query
 /// needs: parity-safe by the same superset argument, and still no
 /// propagation pass.
-#[allow(clippy::too_many_arguments)] // mirrors best_constraint_in
 pub(crate) fn best_constraint_cached(
     db: &Database,
     rel: RelId,
     entry: &CachedEntry,
     targets: &TargetSet,
-    is_pos: &[bool],
     stamp: &mut Stamp,
     params: &CrossMineParams,
     allow_aggregation: bool,
@@ -87,7 +85,7 @@ pub(crate) fn best_constraint_cached(
         Some(t) if !(with_aggs && t.aggs.is_none()) => Counts::Tables(t),
         _ => Counts::View(entry.view()),
     };
-    score_relation(db, rel, counts, targets, is_pos, stamp, params, with_aggs)
+    score_relation(db, rel, counts, targets, stamp, params, with_aggs)
 }
 
 /// Where one relation's sweep inputs come from.
@@ -102,13 +100,11 @@ enum Counts<'a> {
 /// The §5.1 scan of one relation: every categorical value, every numerical
 /// threshold and, with `with_aggs`, every aggregation literal, keeping the
 /// first candidate of highest foil gain.
-#[allow(clippy::too_many_arguments)] // mirrors best_constraint_in
 fn score_relation(
     db: &Database,
     rel: RelId,
     counts: Counts<'_>,
     targets: &TargetSet,
-    is_pos: &[bool],
     stamp: &mut Stamp,
     params: &CrossMineParams,
     with_aggs: bool,
@@ -139,31 +135,25 @@ fn score_relation(
         }
     };
     let schema = db.schema.relation(rel);
+    // The view's joinable rows, which the categorical groupings read.
+    let rows = match counts {
+        Counts::View(ann) => joinable_rows(ann),
+        Counts::Tables(_) => Vec::new(),
+    };
 
     for (aid, attr) in schema.iter_attrs() {
         if attr.ty.is_categorical() {
             let built;
             let table = match counts {
                 Counts::View(ann) => {
-                    built = CatTable::build(db, rel, aid, ann);
+                    built = CatTable::build(db, rel, aid, ann, &rows, stamp);
                     &built
                 }
                 Counts::Tables(t) => t.cat(aid),
             };
-            // Count the distinct live targets behind each code.
+            // Each group holds distinct ids: its live tally is a plain sum.
             for code in 0..table.ranges.len() {
-                stamp.reset();
-                let mut p = 0;
-                let mut n = 0;
-                for &id in table.group(code) {
-                    if targets.contains(id) && stamp.mark(id) {
-                        if is_pos[id as usize] {
-                            p += 1;
-                        } else {
-                            n += 1;
-                        }
-                    }
-                }
+                let (p, n) = targets.tally(table.group(code));
                 if p + n > 0 {
                     consider(ConstraintKind::CatEq { attr: aid, value: code as u32 }, p, n);
                 }
@@ -173,31 +163,26 @@ fn score_relation(
                 Counts::View(ann) => num_entries(db, rel, aid, ann),
                 Counts::Tables(t) => t.num(aid).entries(),
             };
-            sweep_numeric(&entries, targets, is_pos, stamp, |op, threshold, p, n| {
+            sweep_numeric(&entries, targets, stamp, |op, threshold, p, n| {
                 consider(ConstraintKind::Num { attr: aid, op, threshold }, p, n);
             });
         }
     }
 
     if with_aggs {
-        let stats_of = |attr: Option<AttrId>| match counts {
-            Counts::View(ann) => Cow::Owned(aggregate(db, rel, attr, ann, targets)),
-            Counts::Tables(t) => Cow::Borrowed(t.agg(attr)),
+        let built;
+        let aggs = match counts {
+            Counts::View(ann) => {
+                built = AggTables::build(db, rel, ann, targets);
+                &built
+            }
+            Counts::Tables(t) => t.aggs.as_ref().expect("the cached scorer checked for aggregates"),
         };
         // count(*) over joinable tuples, then sum/avg per numerical attribute.
-        sweep_per_target(&stats_of(None), AggOp::Count, targets, is_pos, |op, threshold, p, n| {
-            consider(ConstraintKind::Agg { agg: AggOp::Count, attr: None, op, threshold }, p, n);
-        });
-        for (aid, attr) in schema.iter_attrs() {
-            if !attr.ty.is_numerical() {
-                continue;
-            }
-            let stats = stats_of(Some(aid));
-            for agg in [AggOp::Sum, AggOp::Avg] {
-                sweep_per_target(&stats, agg, targets, is_pos, |op, threshold, p, n| {
-                    consider(ConstraintKind::Agg { agg, attr: Some(aid), op, threshold }, p, n);
-                });
-            }
+        for &(agg, attr, ref column) in &aggs.columns {
+            sweep_column(column, targets, |op, threshold, p, n| {
+                consider(ConstraintKind::Agg { agg, attr, op, threshold }, p, n);
+            });
         }
     }
 
@@ -211,7 +196,6 @@ fn score_relation(
 fn sweep_numeric(
     entries: &[(f64, &[u32])],
     targets: &TargetSet,
-    is_pos: &[bool],
     stamp: &mut Stamp,
     mut emit: impl FnMut(CmpOp, f64, usize, usize),
 ) {
@@ -234,12 +218,10 @@ fn sweep_numeric(
                     break;
                 }
                 for &id in entries[idx].1 {
-                    if targets.contains(id) && stamp.mark(id) {
-                        if is_pos[id as usize] {
-                            p += 1;
-                        } else {
-                            n += 1;
-                        }
+                    let class = targets.class(id);
+                    if class != 0 && stamp.mark(id) {
+                        p += usize::from(class >> 1);
+                        n += usize::from(class & 1);
                     }
                 }
                 i += 1;
@@ -252,66 +234,50 @@ fn sweep_numeric(
     }
 }
 
-/// Sweeps per-target aggregate values: each target appears at most once, so
-/// no distinct-counting is needed — just sorted prefix/suffix counts.
-fn sweep_per_target(
-    stats: &[AggStats],
-    agg: AggOp,
+/// Sweeps one aggregate's value-ordered targets, skipping those outside
+/// `targets`, and reports at each distinct live value the coverage of
+/// `A <= v` (ascending pass) and `A >= v` (descending pass) through
+/// `emit(op, threshold, p, n)`. Each target appears at most once, so no
+/// distinct-counting is needed. A group absorbs every entry `==` its first
+/// live value; entries between two equal live values are equal too, so the
+/// groups and thresholds are those of sorting the live values alone.
+fn sweep_column(
+    column: &AggColumn,
     targets: &TargetSet,
-    is_pos: &[bool],
     mut emit: impl FnMut(CmpOp, f64, usize, usize),
 ) {
-    let mut vals: Vec<(f64, bool)> = Vec::new();
-    for (id, s) in stats.iter().enumerate() {
-        if !targets.contains(id as u32) {
+    let AggColumn { values, ids } = column;
+    let len = values.len();
+    // Ascending: A <= v.
+    let (mut p, mut n) = (0, 0);
+    let mut i = 0;
+    while i < len {
+        if !targets.contains(ids[i]) {
+            i += 1;
             continue;
         }
-        if let Some(v) = s.value(agg) {
-            // A NaN aggregate (e.g. avg over a NaN-valued attribute) fails
-            // every comparison at apply time: exclude it from coverage and
-            // from the threshold pool, where it would stall the `==`
-            // value-grouping loop.
-            if !v.is_nan() {
-                vals.push((v, is_pos[id]));
-            }
-        }
-    }
-    if vals.is_empty() {
-        return;
-    }
-    // total_cmp instead of `partial_cmp(..).unwrap_or(Equal)`: with NaNs a
-    // fallback-to-Equal comparator is not a total order, so the sort could
-    // leave the array arbitrarily shuffled and silently break the
-    // sorted-prefix coverage counts below.
-    vals.sort_by(|a, b| a.0.total_cmp(&b.0));
-    // Ascending: A <= v.
-    let mut p = 0;
-    let mut n = 0;
-    let mut i = 0;
-    while i < vals.len() {
-        let v = vals[i].0;
-        while i < vals.len() && vals[i].0 == v {
-            if vals[i].1 {
-                p += 1;
-            } else {
-                n += 1;
-            }
+        let v = values[i];
+        while i < len && values[i] == v {
+            let class = targets.class(ids[i]);
+            p += usize::from(class >> 1);
+            n += usize::from(class & 1);
             i += 1;
         }
         emit(CmpOp::Le, v, p, n);
     }
     // Descending: A >= v.
-    let mut p = 0;
-    let mut n = 0;
-    let mut i = vals.len();
+    let (mut p, mut n) = (0, 0);
+    let mut i = len;
     while i > 0 {
-        let v = vals[i - 1].0;
-        while i > 0 && vals[i - 1].0 == v {
-            if vals[i - 1].1 {
-                p += 1;
-            } else {
-                n += 1;
-            }
+        if !targets.contains(ids[i - 1]) {
+            i -= 1;
+            continue;
+        }
+        let v = values[i - 1];
+        while i > 0 && values[i - 1] == v {
+            let class = targets.class(ids[i - 1]);
+            p += usize::from(class >> 1);
+            n += usize::from(class & 1);
             i -= 1;
         }
         emit(CmpOp::Ge, v, p, n);
@@ -322,7 +288,8 @@ fn sweep_per_target(
 mod tests {
     use super::*;
     use crate::idset::IdSet;
-    use crate::propagation::Annotation;
+    use crate::literal::AggOp;
+    use crate::propagation::{AggStats, Annotation};
     use crossmine_relational::{
         AttrId, AttrType, Attribute, ClassLabel, DatabaseSchema, RelationSchema, Value,
     };
@@ -367,7 +334,6 @@ mod tests {
             db.target().unwrap(),
             &identity_ann(4),
             &targets,
-            &is_pos,
             &mut stamp,
             &params,
             false,
@@ -399,7 +365,6 @@ mod tests {
             db.target().unwrap(),
             &identity_ann(4),
             &targets,
-            &is_pos,
             &mut stamp,
             &params,
             false,
@@ -431,7 +396,6 @@ mod tests {
             db.target().unwrap(),
             &identity_ann(10),
             &targets,
-            &is_pos,
             &mut stamp,
             &params,
             false,
@@ -473,7 +437,6 @@ mod tests {
             db.target().unwrap(),
             &identity_ann(1),
             &targets,
-            &is_pos,
             &mut stamp,
             &params,
             false,
@@ -496,7 +459,6 @@ mod tests {
             db.target().unwrap(),
             &identity_ann(2),
             &targets,
-            &is_pos,
             &mut stamp,
             &params,
             false,
@@ -523,7 +485,6 @@ mod tests {
             db.target().unwrap(),
             &ann,
             &targets,
-            &is_pos,
             &mut stamp,
             &params,
             false,
@@ -572,8 +533,7 @@ mod tests {
         };
         let mut stamp = Stamp::new(4);
         let params = CrossMineParams::default();
-        let best = best_constraint_in(&db, tid, &ann, &targets, &is_pos, &mut stamp, &params, true)
-            .unwrap();
+        let best = best_constraint_in(&db, tid, &ann, &targets, &mut stamp, &params, true).unwrap();
         match best.constraint.kind {
             ConstraintKind::Agg { agg: AggOp::Count, op: CmpOp::Ge, threshold, .. } => {
                 assert_eq!(threshold, 3.0);
@@ -615,7 +575,7 @@ mod tests {
         let mut stamp = Stamp::new(4);
         let params = CrossMineParams::default();
         let run = |stamp: &mut Stamp| {
-            best_constraint_in(&db, tid, &ann, &targets, &is_pos, stamp, &params, true)
+            best_constraint_in(&db, tid, &ann, &targets, stamp, &params, true)
                 .expect("a discriminating aggregate literal exists")
         };
         let first = run(&mut stamp);
@@ -633,5 +593,87 @@ mod tests {
             ref k => panic!("expected sum <= 5 literal, got {k:?}"),
         }
         assert_eq!((first.pos, first.neg), (2, 0));
+    }
+
+    /// The sort-based aggregate sweep the value-ordered columns replace,
+    /// kept as the oracle: collect the live targets' defined, non-NaN
+    /// values, sort them, and report each distinct value's prefix and
+    /// suffix coverage.
+    fn sorted_sweep(
+        stats: &[AggStats],
+        agg: AggOp,
+        targets: &TargetSet,
+        is_pos: &[bool],
+    ) -> Vec<(CmpOp, u64, usize, usize)> {
+        let mut vals: Vec<(f64, bool)> = stats
+            .iter()
+            .enumerate()
+            .filter(|&(id, _)| targets.contains(id as u32))
+            .filter_map(|(id, s)| s.value(agg).map(|v| (v, is_pos[id])))
+            .filter(|(v, _)| !v.is_nan())
+            .collect();
+        vals.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let mut out = Vec::new();
+        let (mut p, mut n, mut i) = (0, 0, 0);
+        while i < vals.len() {
+            let v = vals[i].0;
+            while i < vals.len() && vals[i].0 == v {
+                if vals[i].1 {
+                    p += 1;
+                } else {
+                    n += 1;
+                }
+                i += 1;
+            }
+            out.push((CmpOp::Le, v.to_bits(), p, n));
+        }
+        let (mut p, mut n, mut i) = (0, 0, vals.len());
+        while i > 0 {
+            let v = vals[i - 1].0;
+            while i > 0 && vals[i - 1].0 == v {
+                if vals[i - 1].1 {
+                    p += 1;
+                } else {
+                    n += 1;
+                }
+                i -= 1;
+            }
+            out.push((CmpOp::Ge, v.to_bits(), p, n));
+        }
+        out
+    }
+
+    /// Values with ties, both zeros and a NaN, so equal-value groups, the
+    /// `-0.0 == 0.0` merge and NaN exclusion all occur.
+    const POOL: [f64; 8] = [-1.5, -0.0, 0.0, 0.5, 0.5, 2.0, f64::NAN, 7.0];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Per target: joinable tuples (0 = none, so every aggregate is
+        /// undefined), a value drawn from `POOL`, and bits for positivity
+        /// and live membership.
+        #[test]
+        fn value_ordered_sweep_matches_sorted_sweep(
+            per_target in proptest::collection::vec((0u32..4, 0usize..8, 0u8..4), 1..40),
+        ) {
+            let stats: Vec<AggStats> = per_target
+                .iter()
+                .map(|&(rows, v, _)| AggStats { rows, num_rows: rows / 2, sum: POOL[v] })
+                .collect();
+            let is_pos: Vec<bool> = per_target.iter().map(|&(_, _, bits)| bits & 1 == 1).collect();
+            let live = per_target
+                .iter()
+                .enumerate()
+                .filter(|(_, &(_, _, bits))| bits & 2 == 2)
+                .map(|(id, _)| crossmine_relational::Row(id as u32));
+            let targets = TargetSet::from_rows(&is_pos, live);
+            for agg in [AggOp::Count, AggOp::Sum, AggOp::Avg] {
+                let column = AggColumn::new(&stats, agg);
+                let mut swept = Vec::new();
+                sweep_column(&column, &targets, |op, v, p, n| swept.push((op, v.to_bits(), p, n)));
+                proptest::prop_assert_eq!(swept, sorted_sweep(&stats, agg, &targets, &is_pos));
+            }
+        }
     }
 }

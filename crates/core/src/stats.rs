@@ -5,13 +5,20 @@
 //! unchanged between rounds, across clauses, across classes, and across CV
 //! folds. Following the FactorBase line of work (precomputed multi-relational
 //! sufficient statistics), [`StatsCache`] memoises, per **prop-path
-//! signature** ([`PathKey`]), one [`CachedEntry`] holding
+//! signature** ([`PathKey`]), one [`CachedEntry`] holding the statistics in
+//! the form the search reads them:
 //!
-//! * the propagated annotation as a CSR buffer pair,
-//! * per categorical attribute, code-grouped target-id tables,
+//! * the propagated annotation as a CSR buffer pair, plus its longest row,
+//!   which settles most fan-out tests without a scan
+//!   ([`CachedEntry::fanout_exceeds`]);
+//! * per categorical attribute, code-grouped target ids, each group
+//!   distinct, so a group's live `(p, n)` is a plain sum of
+//!   [`TargetSet::class`] bytes;
 //! * per numerical attribute, the value-sorted `(value, ids)` table the
-//!   threshold sweep consumes, and
-//! * per-target [`AggStats`] tables for aggregation literals.
+//!   threshold sweep consumes; and
+//! * per aggregate (`count(*)`, then `sum` and `avg` of each numerical
+//!   attribute), the targets ordered by their value, which the sweep
+//!   filters through the live targets without sorting.
 //!
 //! **The superset principle.** An entry is computed from an annotation that
 //! is a *superset* of every live annotation it will be queried under: the
@@ -46,7 +53,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use crossmine_relational::{AttrId, Database, JoinEdge, RelId};
 
-use crate::idset::TargetSet;
+use crate::idset::{Stamp, TargetSet};
+use crate::literal::AggOp;
 use crate::propagation::{aggregate, AggStats, AnnView};
 
 /// Monotonic source of clause-state ids (see
@@ -88,36 +96,43 @@ pub struct PathKey {
 }
 
 /// Code-grouped target ids of one categorical attribute: group `c` holds
-/// every propagated id behind a tuple with code `c`, unfiltered (the live
-/// [`TargetSet`] filters at query time).
+/// every propagated id behind a tuple with code `c`, each once, unfiltered
+/// (the live [`TargetSet`] filters at query time).
 #[derive(Debug)]
 pub(crate) struct CatTable {
     /// `ranges[code]` bounds group `code` in `ids`.
     pub(crate) ranges: Vec<(u32, u32)>,
-    /// All groups' ids, concatenated.
+    /// All groups' ids, concatenated; distinct within each group.
     pub(crate) ids: Vec<u32>,
 }
 
 impl CatTable {
     /// Groups `view`'s ids by their tuple's code on categorical attribute
-    /// `aid`: one pass over the column sizes the groups (one per code up to
-    /// the larger of the declared cardinality and the largest code present)
-    /// and lists the joinable rows, a second fills the groups from just
-    /// those rows.
-    pub(crate) fn build(db: &Database, rel: RelId, aid: AttrId, view: AnnView<'_>) -> Self {
+    /// `aid`. `rows` lists the view's rows with a non-empty idset (see
+    /// [`joinable_rows`]), and the column is read at those rows only: one
+    /// pass sizes the groups (one per code up to the largest code among
+    /// them, so a code seen only at rows without ids gets an empty group),
+    /// a second fills them, and a third drops the ids a group repeats,
+    /// using `stamp` (which must cover every target id).
+    pub(crate) fn build(
+        db: &Database,
+        rel: RelId,
+        aid: AttrId,
+        view: AnnView<'_>,
+        rows: &[u32],
+        stamp: &mut Stamp,
+    ) -> Self {
         let column = db.relation(rel).column(aid);
-        let mut ranges = vec![(0u32, 0u32); db.schema.relation(rel).attr(aid).cardinality()];
-        let mut joinable = Vec::new();
-        for (row, value) in column.iter().enumerate() {
-            let Some(c) = value.as_cat().map(|c| c as usize) else { continue };
+        let mut ranges: Vec<(u32, u32)> = Vec::new();
+        let mut coded = Vec::with_capacity(rows.len());
+        for &row in rows {
+            let Some(c) = column[row as usize].as_cat() else { continue };
+            let c = c as usize;
             if c >= ranges.len() {
                 ranges.resize(c + 1, (0, 0));
             }
-            let len = if row < view.num_rows() { view.ids(row).len() as u32 } else { 0 };
-            if len > 0 {
-                ranges[c].1 += len;
-                joinable.push((c, row));
-            }
+            ranges[c].1 += view.ids(row as usize).len() as u32;
+            coded.push((c, row));
         }
         let mut total = 0u32;
         for range in &mut ranges {
@@ -127,12 +142,28 @@ impl CatTable {
         }
         // `range.1` is each group's fill cursor; it ends at the group's end.
         let mut ids = vec![0u32; total as usize];
-        for (c, row) in joinable {
-            let set = view.ids(row);
+        for (c, row) in coded {
+            let set = view.ids(row as usize);
             let end = &mut ranges[c].1;
             ids[*end as usize..*end as usize + set.len()].copy_from_slice(set);
             *end += set.len() as u32;
         }
+        // Compact each group to its distinct ids, front to back.
+        let mut write = 0usize;
+        for range in &mut ranges {
+            let (start, end) = (range.0 as usize, range.1 as usize);
+            stamp.reset();
+            let begin = write;
+            for i in start..end {
+                let id = ids[i];
+                if stamp.mark(id) {
+                    ids[write] = id;
+                    write += 1;
+                }
+            }
+            *range = (begin as u32, write as u32);
+        }
+        ids.truncate(write);
         CatTable { ranges, ids }
     }
 
@@ -141,6 +172,11 @@ impl CatTable {
         let (a, b) = self.ranges[code];
         &self.ids[a as usize..b as usize]
     }
+}
+
+/// The rows of `view` whose idset is non-empty, ascending.
+pub(crate) fn joinable_rows(view: AnnView<'_>) -> Vec<u32> {
+    (0..view.num_rows()).filter(|&row| !view.ids(row).is_empty()).map(|row| row as u32).collect()
 }
 
 /// The sweep input of numerical attribute `aid` under `view`: one
@@ -200,14 +236,61 @@ impl NumTable {
     }
 }
 
-/// Per-target aggregate tables (unfiltered: every propagated id
-/// accumulates; the per-target sweep filters through the live target set).
+/// One aggregate's targets in value order: the targets whose value is
+/// defined and not NaN, sorted by `(value.total_cmp, id)`. A NaN value
+/// fails every comparison at apply time, so it can neither be covered nor
+/// become a threshold (where it would also stall the sweep's `==` value
+/// grouping).
+#[derive(Debug)]
+pub(crate) struct AggColumn {
+    /// Aggregate values, ascending.
+    pub(crate) values: Vec<f64>,
+    /// `ids[i]` is the target whose value is `values[i]`.
+    pub(crate) ids: Vec<u32>,
+}
+
+impl AggColumn {
+    /// The column of `op` over per-target statistics `stats` (indexed by
+    /// target id).
+    pub(crate) fn new(stats: &[AggStats], op: AggOp) -> Self {
+        let mut pairs: Vec<(f64, u32)> = stats
+            .iter()
+            .enumerate()
+            .filter_map(|(id, s)| s.value(op).map(|v| (v, id as u32)))
+            .filter(|(v, _)| !v.is_nan())
+            .collect();
+        pairs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        AggColumn {
+            values: pairs.iter().map(|p| p.0).collect(),
+            ids: pairs.iter().map(|p| p.1).collect(),
+        }
+    }
+}
+
+/// The aggregate columns of one relation, in the order the search scores
+/// them: `count(*)`, then `sum` and `avg` of each numerical attribute in
+/// schema order.
 #[derive(Debug)]
 pub(crate) struct AggTables {
-    /// `count(*)` statistics, indexed by target id.
-    pub(crate) count: Vec<AggStats>,
-    /// Per numerical attribute (schema order), sum/avg statistics.
-    pub(crate) per_attr: Vec<(AttrId, Vec<AggStats>)>,
+    /// `(op, attribute, column)`; the attribute is `None` for `count(*)`.
+    pub(crate) columns: Vec<(AggOp, Option<AttrId>, AggColumn)>,
+}
+
+impl AggTables {
+    /// Aggregates `view` per target, counting only ids in `targets`.
+    pub(crate) fn build(db: &Database, rel: RelId, view: AnnView<'_>, targets: &TargetSet) -> Self {
+        let count = aggregate(db, rel, None, view, targets);
+        let mut columns = vec![(AggOp::Count, None, AggColumn::new(&count, AggOp::Count))];
+        for (aid, attr) in db.schema.relation(rel).iter_attrs() {
+            if attr.ty.is_numerical() {
+                let stats = aggregate(db, rel, Some(aid), view, targets);
+                for op in [AggOp::Sum, AggOp::Avg] {
+                    columns.push((op, Some(aid), AggColumn::new(&stats, op)));
+                }
+            }
+        }
+        AggTables { columns }
+    }
 }
 
 /// The contingency tables of one entry, present when the entry's fan-out
@@ -219,8 +302,8 @@ pub(crate) struct Tables {
     pub(crate) cats: Vec<(AttrId, CatTable)>,
     /// Numerical tables, in schema attribute order.
     pub(crate) nums: Vec<(AttrId, NumTable)>,
-    /// Aggregate tables, when aggregation literals were enabled for this
-    /// entry's relation.
+    /// Aggregate tables (unfiltered: built over every target), when
+    /// aggregation literals were enabled for this entry's relation.
     pub(crate) aggs: Option<AggTables>,
 }
 
@@ -234,34 +317,19 @@ impl Tables {
     pub(crate) fn num(&self, aid: AttrId) -> &NumTable {
         &self.nums.iter().find(|(a, _)| *a == aid).expect("one table per numerical attribute").1
     }
-
-    /// The per-target statistics of `attr` (`None` for `count(*)`); the
-    /// caller checked that aggregate tables were built.
-    pub(crate) fn agg(&self, attr: Option<AttrId>) -> &[AggStats] {
-        let aggs = self.aggs.as_ref().expect("aggregate tables were built");
-        match attr {
-            None => &aggs.count,
-            Some(aid) => {
-                &aggs
-                    .per_attr
-                    .iter()
-                    .find(|(a, _)| *a == aid)
-                    .expect("one per numerical attribute")
-                    .1
-            }
-        }
-    }
 }
 
 /// One cached prop-path: the propagated annotation (CSR) plus, usually, its
-/// per-attribute contingency tables. Entries are immutable after
-/// construction and shared by `Arc`, so cache hits read without locking.
+/// per-attribute contingency tables. Entries are immutable once shared and
+/// held by `Arc`, so cache hits read without locking.
 #[derive(Debug)]
 pub struct CachedEntry {
     /// CSR offsets (`num_rows + 1`).
     pub(crate) offsets: Vec<u32>,
     /// CSR ids, row-major, each row sorted and deduplicated.
     pub(crate) ids: Vec<u32>,
+    /// The most ids any one row carries.
+    longest: u32,
     /// Contingency tables (`None` for fan-out-exceeded propagations).
     pub(crate) tables: Option<Tables>,
     /// Approximate heap size, for the byte budget.
@@ -290,66 +358,72 @@ pub(crate) fn filtered_fanout(view: AnnView<'_>, targets: &TargetSet) -> f64 {
     }
 }
 
+/// Whether the §4.3 fan-out of `view` restricted to `targets` exceeds
+/// `limit`, where `longest` is the most ids any row of `view` carries.
+///
+/// The fan-out averages the live counts of the rows that keep any, and no
+/// row keeps more than `longest`, so `longest <= limit` proves the bound
+/// holds without a scan; only a longer row makes [`filtered_fanout`] run.
+pub(crate) fn fanout_exceeds(
+    view: AnnView<'_>,
+    longest: usize,
+    targets: &TargetSet,
+    limit: Option<usize>,
+) -> bool {
+    limit.is_some_and(|limit| longest > limit && filtered_fanout(view, targets) > limit as f64)
+}
+
 fn slice_bytes<T>(v: &[T]) -> usize {
     std::mem::size_of_val(v)
 }
 
 impl CachedEntry {
-    /// Builds an entry for relation `rel` from the (superset) annotation
-    /// `view`. `all_targets` must cover every target row (aggregate tables
-    /// are unfiltered). `with_tables` is false for fan-out-exceeded
-    /// propagations; `with_aggs` mirrors whether aggregation literals apply
-    /// to this relation.
-    pub fn build(
-        db: &Database,
-        rel: RelId,
-        view: AnnView<'_>,
-        all_targets: &TargetSet,
-        with_tables: bool,
-        with_aggs: bool,
-    ) -> Self {
+    /// An entry holding a copy of the (superset) annotation `view` and no
+    /// tables yet.
+    pub fn new(view: AnnView<'_>) -> Self {
         let num_rows = view.num_rows();
         let mut offsets = Vec::with_capacity(num_rows + 1);
         let mut ids = Vec::with_capacity(view.total_ids());
+        let mut longest = 0usize;
         offsets.push(0u32);
         for row in 0..num_rows {
-            ids.extend_from_slice(view.ids(row));
+            let set = view.ids(row);
+            longest = longest.max(set.len());
+            ids.extend_from_slice(set);
             offsets.push(ids.len() as u32);
         }
-
-        let tables = with_tables.then(|| Self::build_tables(db, rel, view, all_targets, with_aggs));
-        let mut entry = CachedEntry { offsets, ids, tables, bytes: 0 };
+        let mut entry =
+            CachedEntry { offsets, ids, longest: longest as u32, tables: None, bytes: 0 };
         entry.bytes = entry.compute_bytes();
         entry
     }
 
-    fn build_tables(
+    /// Builds the contingency tables of relation `rel` from the entry's
+    /// annotation. `all_targets` must cover every target row (aggregate
+    /// tables are unfiltered); `with_aggs` mirrors whether aggregation
+    /// literals apply to this relation. `stamp` must cover every target id.
+    pub fn build_tables(
+        &mut self,
         db: &Database,
         rel: RelId,
-        view: AnnView<'_>,
         all_targets: &TargetSet,
         with_aggs: bool,
-    ) -> Tables {
-        let schema = db.schema.relation(rel);
+        stamp: &mut Stamp,
+    ) {
+        let view = self.view();
+        let rows = joinable_rows(view);
         let mut cats = Vec::new();
         let mut nums = Vec::new();
-        for (aid, attr) in schema.iter_attrs() {
+        for (aid, attr) in db.schema.relation(rel).iter_attrs() {
             if attr.ty.is_categorical() {
-                cats.push((aid, CatTable::build(db, rel, aid, view)));
+                cats.push((aid, CatTable::build(db, rel, aid, view, &rows, stamp)));
             } else if attr.ty.is_numerical() {
                 nums.push((aid, NumTable::build(db, rel, aid, view)));
             }
         }
-        let aggs = with_aggs.then(|| {
-            let count = aggregate(db, rel, None, view, all_targets);
-            let per_attr = schema
-                .iter_attrs()
-                .filter(|(_, attr)| attr.ty.is_numerical())
-                .map(|(aid, _)| (aid, aggregate(db, rel, Some(aid), view, all_targets)))
-                .collect();
-            AggTables { count, per_attr }
-        });
-        Tables { cats, nums, aggs }
+        let aggs = with_aggs.then(|| AggTables::build(db, rel, view, all_targets));
+        self.tables = Some(Tables { cats, nums, aggs });
+        self.bytes = self.compute_bytes();
     }
 
     fn compute_bytes(&self) -> usize {
@@ -364,9 +438,8 @@ impl CachedEntry {
                 bytes += slice_bytes(&n.values) + slice_bytes(&n.ranges) + slice_bytes(&n.ids) + 32;
             }
             if let Some(a) = &t.aggs {
-                bytes += slice_bytes(&a.count) + 32;
-                for (_, stats) in &a.per_attr {
-                    bytes += slice_bytes(stats) + 32;
+                for (_, _, column) in &a.columns {
+                    bytes += slice_bytes(&column.values) + slice_bytes(&column.ids) + 32;
                 }
             }
         }
@@ -376,6 +449,13 @@ impl CachedEntry {
     /// The cached propagated annotation.
     pub fn view(&self) -> AnnView<'_> {
         AnnView::Csr { offsets: &self.offsets, ids: &self.ids }
+    }
+
+    /// Whether the entry's fan-out restricted to the live `targets` exceeds
+    /// `limit` (see [`fanout_exceeds`]): settled in O(1) whenever the
+    /// entry's longest row is within the limit.
+    pub fn fanout_exceeds(&self, targets: &TargetSet, limit: Option<usize>) -> bool {
+        fanout_exceeds(self.view(), self.longest as usize, targets, limit)
     }
 
     /// Approximate heap footprint, as accounted against the byte budget.
@@ -597,7 +677,7 @@ impl StatsCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::idset::IdSet;
+    use crate::idset::{count_distinct, IdSet};
     use crate::propagation::Annotation;
     use crossmine_relational::{
         AttrType, Attribute, ClassLabel, DatabaseSchema, JoinKind, RelationSchema, Row, Value,
@@ -642,7 +722,19 @@ mod tests {
     /// exactly id `i`.
     fn identity_entry(db: &Database, rel: RelId, all: &TargetSet, with_aggs: bool) -> CachedEntry {
         let ann = Annotation::identity(all.capacity(), all);
-        CachedEntry::build(db, rel, ann.view(), all, true, with_aggs)
+        entry_with_tables(db, rel, ann.view(), all, with_aggs)
+    }
+
+    fn entry_with_tables(
+        db: &Database,
+        rel: RelId,
+        view: AnnView<'_>,
+        all: &TargetSet,
+        with_aggs: bool,
+    ) -> CachedEntry {
+        let mut entry = CachedEntry::new(view);
+        entry.build_tables(db, rel, all, with_aggs, &mut Stamp::new(all.capacity()));
+        entry
     }
 
     fn entry_of(db: &Database, is_pos: &[bool]) -> Arc<CachedEntry> {
@@ -671,9 +763,23 @@ mod tests {
         // Numerical: ascending values, one id per entry.
         let (_, num) = &tables.nums[0];
         assert_eq!(num.values, vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
-        // Aggregates: each target joins exactly one row of the identity.
+        // Aggregates: each target joins exactly one row of the identity, so
+        // count(*) is 1 for all six, and sum(x) orders them by x.
         let aggs = tables.aggs.as_ref().unwrap();
-        assert_eq!(aggs.count[3].rows, 1);
+        let ops: Vec<_> = aggs.columns.iter().map(|(op, attr, _)| (*op, *attr)).collect();
+        assert_eq!(
+            ops,
+            vec![
+                (AggOp::Count, None),
+                (AggOp::Sum, Some(AttrId(2))),
+                (AggOp::Avg, Some(AttrId(2)))
+            ]
+        );
+        let (_, _, count) = &aggs.columns[0];
+        assert_eq!(count.values, vec![1.0; 6]);
+        assert_eq!(count.ids, vec![0, 1, 2, 3, 4, 5]);
+        let (_, _, sum) = &aggs.columns[1];
+        assert_eq!(sum.values, vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
         assert!(entry.cost_bytes() > 0);
     }
 
@@ -692,7 +798,7 @@ mod tests {
                 IdSet::new(),
             ],
         };
-        let entry = CachedEntry::build(&db, rel, ann.view(), &all, true, false);
+        let entry = entry_with_tables(&db, rel, ann.view(), &all, false);
         assert_eq!(entry.view().ids(0), &[0, 1]);
         assert!(entry.view().ids(1).is_empty());
         let tables = entry.tables.as_ref().unwrap();
@@ -720,6 +826,95 @@ mod tests {
         assert_eq!(filtered_fanout(entry.view(), &none), 0.0);
         // On the unrestricted set the filtered fanout equals the plain one.
         assert_eq!(filtered_fanout(entry.view(), &all), entry.view().avg_fanout());
+    }
+
+    #[test]
+    fn fanout_bound_falls_back_to_the_live_average() {
+        // Row 0 carries five ids and row 1 one: the longest row exceeds a
+        // limit of 3, so the bound cannot settle the test and the average
+        // over the rows that keep a live id decides, either way.
+        let (_, is_pos) = tiny_db();
+        let mut idsets = vec![IdSet::new(); 6];
+        idsets[0] = IdSet::from_sorted(vec![0, 1, 2, 3, 4]);
+        idsets[1] = IdSet::singleton(5);
+        let ann = Annotation { idsets };
+        let entry = CachedEntry::new(ann.view());
+        assert_eq!(entry.longest, 5);
+        assert_eq!(ann.view().longest_row(), 5);
+        let live = |rows: &[u32]| TargetSet::from_rows(&is_pos, rows.iter().map(|&r| Row(r)));
+        let cases: [(&[u32], f64, bool); 4] = [
+            // (5 + 1) / 2: at the limit, not above it.
+            (&[0, 1, 2, 3, 4, 5], 3.0, false),
+            // Row 1 drops out: row 0 alone keeps five.
+            (&[0, 1, 2, 3, 4], 5.0, true),
+            // (4 + 1) / 2.
+            (&[0, 1, 2, 3, 5], 2.5, false),
+            // Row 0 alone keeps four.
+            (&[0, 1, 2, 3], 4.0, true),
+        ];
+        for (rows, average, exceeded) in cases {
+            let targets = live(rows);
+            assert_eq!(filtered_fanout(entry.view(), &targets), average, "live {rows:?}");
+            assert_eq!(entry.fanout_exceeds(&targets, Some(3)), exceeded, "live {rows:?}");
+            assert_eq!(fanout_exceeds(ann.view(), 5, &targets, Some(3)), exceeded);
+            // Within the limit, or with none, the bound settles it.
+            assert!(!entry.fanout_exceeds(&targets, Some(5)));
+            assert!(!entry.fanout_exceeds(&targets, None));
+        }
+    }
+
+    #[test]
+    fn cat_groups_are_distinct_and_tally_like_a_stamped_count() {
+        // Codes alternate by row (even rows code 0, odd rows code 1), and
+        // several tuples of one code join the same target: targets 1 and 3
+        // each sit behind two or three tuples of one code.
+        let (db, is_pos) = tiny_db();
+        let rel = db.target().unwrap();
+        let idsets = vec![
+            IdSet::from_sorted(vec![0, 1]),
+            IdSet::from_sorted(vec![3]),
+            IdSet::from_sorted(vec![1, 2]),
+            IdSet::from_sorted(vec![3, 4]),
+            IdSet::from_sorted(vec![1]),
+            IdSet::new(),
+        ];
+        let ann = Annotation { idsets: idsets.clone() };
+        let view = ann.view();
+        let rows = joinable_rows(view);
+        assert_eq!(rows, vec![0, 1, 2, 3, 4]);
+        let mut stamp = Stamp::new(is_pos.len());
+        let table = CatTable::build(&db, rel, AttrId(1), view, &rows, &mut stamp);
+        assert_eq!(table.ranges.len(), 2);
+        for code in 0..2 {
+            let mut group = table.group(code).to_vec();
+            let len = group.len();
+            group.sort_unstable();
+            group.dedup();
+            assert_eq!(group.len(), len, "group {code} repeats an id");
+        }
+        let live_sets = [
+            TargetSet::all(&is_pos),
+            TargetSet::from_rows(&is_pos, [Row(1), Row(3)]),
+            TargetSet::from_rows(&is_pos, [Row(0), Row(2), Row(4), Row(5)]),
+        ];
+        for targets in &live_sets {
+            for code in 0..2 {
+                let behind = idsets.iter().skip(code).step_by(2).map(IdSet::as_slice);
+                let expected = count_distinct(behind, targets, &is_pos, &mut stamp);
+                assert_eq!(targets.tally(table.group(code)), expected, "code {code}");
+            }
+        }
+        // A code seen only at rows without ids gets no group beyond the
+        // largest code among the joinable rows.
+        let only_even = Annotation {
+            idsets: (0..6)
+                .map(|r| if r % 2 == 0 { IdSet::singleton(r) } else { IdSet::new() })
+                .collect(),
+        };
+        let rows = joinable_rows(only_even.view());
+        let table = CatTable::build(&db, rel, AttrId(1), only_even.view(), &rows, &mut stamp);
+        assert_eq!(table.ranges.len(), 1);
+        assert_eq!(table.group(0), &[0, 2, 4]);
     }
 
     #[test]

@@ -104,7 +104,7 @@ fn best_aggregation_literal_matches_bruteforce_gain() {
     let ann = state.propagate_edge(&edge);
     let mut stamp = Stamp::new(db.num_targets());
     let params = CrossMineParams::default();
-    let best = best_constraint_in(&db, sid, &ann, &targets, &is_pos, &mut stamp, &params, true);
+    let best = best_constraint_in(&db, sid, &ann, &targets, &mut stamp, &params, true);
 
     // Brute force every aggregation literal: for each (agg, op, threshold
     // drawn from realized aggregate values), count covered pos/neg and

@@ -131,7 +131,7 @@ proptest! {
         let ann = crossmine::core::propagation::Annotation {
             idsets: (0..n as u32).map(IdSet::singleton).collect(),
         };
-        let best = best_constraint_in(&db, tid, &ann, &targets, &is_pos, &mut stamp, &params, false);
+        let best = best_constraint_in(&db, tid, &ann, &targets, &mut stamp, &params, false);
 
         // Brute force over every (op, threshold).
         let p_c = is_pos.iter().filter(|&&b| b).count();
